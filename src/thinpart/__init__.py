@@ -3,12 +3,7 @@ desk-scale experimental harness for the drift and tail bounds behind them."""
 
 from .contraction import ContractionParams, contraction_constants, delta_opt, phi
 from .rootdata import delta_lower_bound, group_constants, order_bound_real
-from .slgroup import (
-    conjugated_lattice,
-    discreteness_radius,
-    expanding_element,
-    radius_params,
-)
+from .slgroup import discreteness_radius, expanding_element, radius_params
 
 __version__ = "0.1.0"
 
@@ -20,7 +15,6 @@ __all__ = [
     "delta_lower_bound",
     "group_constants",
     "order_bound_real",
-    "conjugated_lattice",
     "discreteness_radius",
     "expanding_element",
     "radius_params",

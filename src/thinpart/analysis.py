@@ -2,9 +2,7 @@
 
 The quantity of interest is how much mass |f| < eps carries, either on a box
 in R^d (Monte Carlo with a CLT band) or on SO(n) against Haar measure, where
-the decay rate in eps is fitted as a power law.  A finite-difference order
-estimator rounds out the toolkit: the measured decay exponent should be about
-1 / order.
+the decay rate in eps is fitted as a power law.
 """
 
 from __future__ import annotations
@@ -18,20 +16,13 @@ import numpy as np
 from .linalg import haar_orthogonal
 
 __all__ = [
-    "DegenerateFieldError",
     "GridTooSmallError",
     "ScalarField",
     "Box",
     "MeasureEstimate",
     "sublevel_measure",
-    "good_constant_estimate",
     "compact_group_sublevel_fit",
-    "estimate_order",
 ]
-
-
-class DegenerateFieldError(ValueError):
-    """Field is numerically zero on the region; no scale to normalize by."""
 
 
 class GridTooSmallError(ValueError):
@@ -89,47 +80,6 @@ def sublevel_measure(
     return MeasureEstimate(p_hat, _band(p_hat, n_samples))
 
 
-def good_constant_estimate(
-    f: ScalarField,
-    box: Box,
-    alpha: float,
-    eps_grid: list,
-    subball_count: int,
-    rng: np.random.Generator,
-    samples_per_ball: int = 4096,
-) -> float:
-    """Estimate the constant C in measure{|f| < eps} <= C (eps / sup|f|)^alpha.
-
-    Random sub-boxes B' of the box are drawn (center uniform, radius uniform
-    below the distance to the boundary), sup|f| on B' is taken from the same
-    sample cloud, and the max of measure * (sup / eps)^alpha over every
-    (B', eps) pair is returned.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if subball_count < 1:
-        raise ValueError("need at least one sub-ball")
-    probe = box.center + box.radius * rng.uniform(-1.0, 1.0, size=(4096, box.dim))
-    if float(np.max(np.abs(f.eval(probe)))) < 1e-14:
-        raise DegenerateFieldError(f"field {f.label!r} vanishes on the box")
-    c_hat = 0.0
-    for _ in range(subball_count):
-        center = box.center + box.radius * rng.uniform(-1.0, 1.0, size=box.dim)
-        slack = box.radius - float(np.max(np.abs(center - box.center)))
-        radius = rng.uniform(0.0, 1.0) * slack
-        if radius <= 0:
-            continue
-        pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples_per_ball, box.dim))
-        values = np.abs(np.asarray(f.eval(pts), dtype=float))
-        sup = float(values.max())
-        if sup < 1e-14:
-            continue
-        for eps in eps_grid:
-            measure = float(np.mean(values < eps))
-            c_hat = max(c_hat, measure * (sup / eps) ** alpha)
-    return c_hat
-
-
 def _haar_coefficient_samples(
     n: int, coefficient: tuple, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -171,46 +121,3 @@ def compact_group_sublevel_fit(
         raise GridTooSmallError("fewer than two usable grid points for the fit")
     slope, intercept = np.polyfit(np.log(eps_arr[keep]), np.log(measures[keep]), 1)
     return float(np.exp(intercept)), float(slope)
-
-
-def _central_difference(f: ScalarField, point: float, order: int, h: float) -> float:
-    offsets = np.array([order / 2.0 - k for k in range(order + 1)])
-    signs = np.array([(-1.0) ** k for k in range(order + 1)])
-    coeffs = np.array([math.comb(order, k) for k in range(order + 1)], dtype=float)
-    pts = (point + h * offsets).reshape(-1, 1)
-    vals = np.asarray(f.eval(pts), dtype=float)
-    return float(np.sum(signs * coeffs * vals)) / h**order
-
-
-def estimate_order(f: ScalarField, point: float, max_order: int) -> int:
-    """Vanishing order of f at the point: the first nonzero Taylor exponent.
-
-    Central differences over a step ladder; a derivative counts as nonzero
-    only if its Richardson-extrapolated value is stable between steps and
-    clears an absolute floor, which filters both higher-order Taylor leakage
-    (unstable, scales like a power of h) and rounding noise.  Returns
-    max_order + 1 when everything through max_order vanishes.
-    """
-    if f.dim != 1:
-        raise ValueError("order estimation expects a one-parameter field")
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    window = point + 0.1 * np.arange(-5, 6).reshape(-1, 1)
-    scale = float(np.max(np.abs(f.eval(window)))) + 1e-300
-    floor = 1e-6 * scale
-    value = float(f.eval(np.array([[point]]))[0])
-    if abs(value) > floor:
-        return 0
-    ladder = (0.2, 0.1, 0.05)
-    for order in range(1, max_order + 1):
-        ests = [_central_difference(f, point, order, h) for h in ladder]
-        riches = [
-            (4.0 * ests[i + 1] - ests[i]) / 3.0 for i in range(len(ladder) - 1)
-        ]
-        if any(abs(e) <= floor for e in ests):
-            continue
-        ratios = [ests[i + 1] / ests[i] for i in range(len(ests) - 1)]
-        stable = all(0.5 <= r <= 2.0 for r in ratios)
-        if stable and all(abs(r) > floor for r in riches):
-            return order
-    return max_order + 1

@@ -3,7 +3,7 @@
 For an orthogonal split R^n = U + U' with projection P onto U, the wedge
 functional q(W) bounds from below how much P can shrink unit vectors of a
 subspace W.  Everything is phrased through singular values of P restricted
-to W, plus a sampled refinement over random unit tuples.
+to W.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Subspace, op_norm
+from .linalg import Subspace
 
 __all__ = [
     "SplitSpace",
@@ -58,58 +58,29 @@ def split_from_basis(u_basis: np.ndarray) -> SplitSpace:
     return SplitSpace(b.shape[0], p, np.eye(b.shape[0]) - p)
 
 
-def _unit_tuple_wedge_norms(
-    a: np.ndarray, l: int, n_tuples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Wedge norms ||P w_1 ^ ... ^ P w_l|| for random unit tuples w_i in W.
-
-    With w_i = B c_i the wedge norm factors as |det C| times the norm on the
-    orthonormal basis, so these samples can never exceed that base value;
-    they are kept as an independent probe of the same supremum.
-    """
-    base = float(np.prod(np.linalg.svd(a, compute_uv=False)))
-    coeffs = rng.standard_normal((n_tuples, l, l))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    return np.abs(np.linalg.det(coeffs)) * base
-
-
-def q_of_subspace(
-    ss: SplitSpace,
-    w: Subspace,
-    rng: np.random.Generator | None = None,
-    n_tuple_samples: int = 1000,
-) -> float:
+def q_of_subspace(ss: SplitSpace, w: Subspace) -> float:
     """sup over unit tuples (w_1 .. w_l) in W of ||P w_1 ^ ... ^ P w_l||.
 
-    The supremum over an orthonormal basis equals the product of singular
-    values of P restricted to W; random unit tuples refine (and in practice
-    confirm) that value.  Always <= 1 for an orthogonal projection.
+    The supremum is attained on an orthonormal basis of W, where it equals
+    the product of singular values of P restricted to W: a unit tuple
+    w_i = B c_i scales that value by |det C| <= 1 (Hadamard).  Always <= 1
+    for an orthogonal projection.
     """
     if w.dim > ss.dim_u:
         raise ValueError(f"tuple length {w.dim} exceeds dim U = {ss.dim_u}")
     if w.ambient_dim != ss.ambient_dim:
         raise ValueError("split and subspace dimensions disagree")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    a = ss.proj_u @ w.basis
-    base = float(np.prod(np.linalg.svd(a, compute_uv=False)))
-    sampled = _unit_tuple_wedge_norms(a, w.dim, n_tuple_samples, rng)
-    return max(base, float(sampled.max()))
+    return float(np.prod(np.linalg.svd(ss.proj_u @ w.basis, compute_uv=False)))
 
 
-def check_projection_bound(
-    ss: SplitSpace,
-    w: Subspace,
-    rng: np.random.Generator | None = None,
-    n_tuple_samples: int = 1000,
-) -> tuple:
+def check_projection_bound(ss: SplitSpace, w: Subspace) -> tuple:
     """Verify inf ||P w|| / ||w|| >= q(W); returns (holds, slack).
 
     Valid for orthogonal splits, so P is required to be symmetric.
     """
     if np.abs(ss.proj_u - ss.proj_u.T).max() > 1e-10:
         raise ValueError("projection bound requires an orthogonal split")
-    q_hat = q_of_subspace(ss, w, rng, n_tuple_samples)
+    q_hat = q_of_subspace(ss, w)
     sigma_min = float(np.linalg.svd(ss.proj_u @ w.basis, compute_uv=False)[-1])
     slack = sigma_min - q_hat
     return slack >= -1e-10, slack

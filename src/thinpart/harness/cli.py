@@ -1,4 +1,4 @@
-"""Command line front end: one subcommand per experiment.
+"""Command line front end: one subcommand per experiment, plus `pipeline`.
 
 Settings come from three layers, defaults < --config file < explicit
 flags.  Every run writes report.json and samples.csv to the output
@@ -37,6 +37,23 @@ _RUNNERS = {
     "grassmann": (run_grassmann, ()),
 }
 
+# Stages of `pipeline`, in order; expansion-prob's p_hat feeds the later ones.
+_PIPELINE = (
+    "constants",
+    "expansion-prob",
+    "key-inequality",
+    "stationary-bound",
+    "integrability",
+    "evanescence",
+)
+
+
+def _add_run_flags(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--config", metavar="PATH", help="JSON configuration file")
+    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--workers", type=int, help="override the worker count")
+    p.add_argument("--out", metavar="DIR", help=f"report directory (default runs/{name})")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,12 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (runner, extras) in _RUNNERS.items():
         doc = (runner.__doc__ or "").strip().splitlines()[0].rstrip(".")
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", metavar="PATH", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, help="override the worker count")
-        p.add_argument(
-            "--out", metavar="DIR", help=f"report directory (default runs/{name})"
-        )
+        _add_run_flags(p, name)
         if "p_hat" in extras:
             p.add_argument(
                 "--p-hat", type=float, dest="p_hat", metavar="P",
@@ -73,12 +85,47 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--symmetrized", action="store_true",
                 help="mix the inverse expanding step in with probability 1/2",
             )
+    _add_run_flags(
+        sub.add_parser(
+            "pipeline",
+            help=f"Run {', '.join(_PIPELINE)} in turn, feeding the measured p_hat forward",
+        ),
+        "pipeline",
+    )
     return parser
+
+
+def _write_and_print(report, out_dir: Path, prefix: str = "") -> bool:
+    """Write the report, print its verdicts and paths; True if all passed."""
+    json_path, csv_path = write_report(report, out_dir)
+    for v in report.verdicts:
+        mark = "PASS" if v.passed else "FAIL"
+        margin = "margin n/a" if v.margin is None else f"margin {v.margin:+.6g}"
+        print(f"{prefix}[{mark}] {v.check} ({margin})")
+    if not report.verdicts:
+        print(f"{prefix}(diagnostic run, no verdicts)")
+    print(f"{prefix}report: {json_path}")
+    print(f"{prefix}samples: {csv_path}")
+    return report.all_passed()
+
+
+def _run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> bool:
+    """Every _PIPELINE stage into out_dir/<stage>; True if all verdicts passed."""
+    p_hat = None
+    passed = True
+    for name in _PIPELINE:
+        runner, extras = _RUNNERS[name]
+        report = runner(cfg, **({"p_hat": p_hat} if "p_hat" in extras else {}))
+        passed = _write_and_print(report, out_dir / name, f"{name}: ") and passed
+        if name == "expansion-prob":
+            p_hat = report.summary["p_hat"]
+            print(f"{name}: measured p_hat = {p_hat:.4f} feeds the later stages")
+    return passed
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    runner, extras = _RUNNERS[args.command]
+    out_dir = Path(args.out) if args.out else Path("runs") / args.command
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         overrides = {}
@@ -88,18 +135,13 @@ def main(argv=None) -> int:
             overrides["workers"] = args.workers
         if overrides:
             cfg = cfg.replace(**overrides)
-        report = runner(cfg, **{name: getattr(args, name) for name in extras})
-        out_dir = Path(args.out) if args.out else Path("runs") / args.command
-        json_path, csv_path = write_report(report, out_dir)
+        if args.command == "pipeline":
+            passed = _run_pipeline(cfg, out_dir)
+        else:
+            runner, extras = _RUNNERS[args.command]
+            report = runner(cfg, **{name: getattr(args, name) for name in extras})
+            passed = _write_and_print(report, out_dir)
     except (ConfigError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for v in report.verdicts:
-        mark = "PASS" if v.passed else "FAIL"
-        margin = "margin n/a" if v.margin is None else f"margin {v.margin:+.6g}"
-        print(f"[{mark}] {v.check} ({margin})")
-    if not report.verdicts:
-        print("(diagnostic run, no verdicts)")
-    print(f"report: {json_path}")
-    print(f"samples: {csv_path}")
-    return 0 if report.all_passed() else 2
+    return 0 if passed else 2

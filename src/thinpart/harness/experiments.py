@@ -19,9 +19,8 @@ from ..analysis import Box, ScalarField, compact_group_sublevel_fit, sublevel_me
 from ..contraction import (
     BalanceError,
     ContractionParams,
-    delta_opt,
+    contraction_constants,
     markov_superlevel_bound,
-    phi,
 )
 from ..grassmann import (
     check_bijection_contraction,
@@ -33,9 +32,9 @@ from ..rootdata import delta_lower_bound, group_constants, order_bound_real
 from ..slgroup import (
     EnumerationCapError,
     RadiusParams,
-    conjugated_lattice,
     discreteness_radius,
     reduced_conjugator,
+    sample_mu_s,
 )
 from .config import ConfigError, ExperimentConfig, derive_group
 from .report import ExperimentReport, Verdict, source_revision
@@ -103,7 +102,7 @@ def expansion_indicator(i_expanded, i_base, factor: float = _EXPANSION_FACTOR):
 
 def model_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     """Discreteness radius of the conjugated lattice, in one call."""
-    return discreteness_radius(conjugated_lattice(conjugator, rp), rp)
+    return discreteness_radius(conjugator, rp)
 
 
 def sample_base_conjugator(
@@ -152,21 +151,8 @@ def drift_parameters(
     """
     if not 0 < p_hat < 1:
         raise BalanceError(f"expansion probability {p_hat} is degenerate")
-    if not delta_factor > 0:
-        raise ValueError("delta_factor must be positive")
-    gc = group_constants(cfg.group_n)
-    a2 = cfg.lambda_ ** (-float(gc.ht_sum))
-    rho0 = rp.rho * _THIN_CUT
-    delta = delta_opt(cfg.a1, a2, p_hat) * delta_factor
-    return ContractionParams(
-        a1=cfg.a1,
-        a2=a2,
-        p=p_hat,
-        rho0=rho0,
-        delta=delta,
-        c=phi(delta, cfg.a1, a2, p_hat),
-        b=(a2 * rho0) ** (-delta),
-    )
+    a2 = cfg.lambda_ ** (-float(group_constants(cfg.group_n).ht_sum))
+    return contraction_constants(cfg.a1, a2, p_hat, rp.rho * _THIN_CUT, delta_factor)
 
 
 def _pool_map(fn, tasks, workers: int) -> list:
@@ -312,8 +298,7 @@ def _drift_base_task(task):
 def _drift_sample_task(task):
     seed, idx, base_index, sp, rp, g, delta = task
     rng = _rng(seed, _TAG_DRIFT, idx)
-    step = haar_orthogonal(sp.n, rng) @ sp.s_lambda @ haar_orthogonal(sp.n, rng)
-    radius = model_radius(step @ g, rp)
+    radius = model_radius(sample_mu_s(sp, rng) @ g, rp)
     return idx, base_index, radius, radius ** (-delta)
 
 
@@ -753,7 +738,7 @@ def run_grassmann(cfg: ExperimentConfig) -> ExperimentReport:
         wq, _ = np.linalg.qr(rng.standard_normal((n, l)))
         w = Subspace(n, wq[:, :l])
 
-        ok_p, slack_p = check_projection_bound(ss, w, rng, n_tuple_samples=200)
+        ok_p, slack_p = check_projection_bound(ss, w)
         a = rng.standard_normal((n, n))
         slack_h = hadamard_bound(a) - abs(float(np.linalg.det(a)))
         d = np.concatenate(

@@ -7,7 +7,6 @@ exp/log pair is written so that each stays a usable oracle for the other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +16,9 @@ __all__ = [
     "Subspace",
     "frobenius",
     "op_norm",
-    "traceless_defect",
     "haar_orthogonal",
     "mat_exp",
     "mat_log",
-    "wedge_power",
-    "min_singular_ratio",
     "hadamard_bound",
 ]
 
@@ -38,12 +34,6 @@ def frobenius(x: np.ndarray) -> float:
 def op_norm(m: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(m, 2))
-
-
-def traceless_defect(x: np.ndarray) -> float:
-    """|tr X| relative to 1e-10 * ||X||_F; values <= 1 count as traceless."""
-    scale = 1e-10 * max(frobenius(x), 1e-300)
-    return abs(float(np.trace(x))) / scale
 
 
 @dataclass(frozen=True)
@@ -145,38 +135,6 @@ def mat_log(m: np.ndarray) -> np.ndarray:
         power = power @ e
         out = out + ((-1.0) ** (k + 1) / k) * power
     return out * (2.0**doublings)
-
-
-def wedge_power(m: np.ndarray, l: int) -> np.ndarray:
-    """l-th exterior power: entry (I, J) is the minor on rows I, columns J.
-
-    Index subsets run in lexicographic order, so wedge_power(A @ B, l) equals
-    wedge_power(A, l) @ wedge_power(B, l) by Cauchy-Binet.
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("square matrix required")
-    if not 1 <= l <= n:
-        raise ValueError(f"wedge degree l={l} out of range for n={n}")
-    subsets = list(itertools.combinations(range(n), l))
-    out = np.empty((len(subsets), len(subsets)))
-    for a, rows in enumerate(subsets):
-        sub = m[np.array(rows), :]
-        for b, cols in enumerate(subsets):
-            out[a, b] = np.linalg.det(sub[:, np.array(cols)])
-    return out
-
-
-def min_singular_ratio(p: np.ndarray, w: Subspace) -> float:
-    """inf over unit w in W of ||P w||, i.e. the least singular value of P|_W."""
-    p = np.asarray(p, dtype=float)
-    defect = np.abs(p @ p - p).max()
-    if defect > 1e-10:
-        raise ValueError(f"P is not idempotent, defect {defect:.3e}")
-    if p.shape[0] != w.ambient_dim:
-        raise ValueError("projection and subspace live in different dimensions")
-    return float(np.linalg.svd(p @ w.basis, compute_uv=False)[-1])
 
 
 def hadamard_bound(a: np.ndarray) -> float:

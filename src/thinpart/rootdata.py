@@ -1,9 +1,11 @@
-"""Root-system bookkeeping and the exact constants derived from it.
+"""Exact constants of SL(n, R) from its type-A root data.
 
-The combinatorics (positive roots, heights, highest-root coefficients) feed
-two exact quantities: a lower bound for the decay exponent delta and an upper
-bound for vanishing orders of adjoint matrix coefficients.  Both are kept in
-integer / Fraction arithmetic; floats never enter.
+The root data enter through two integers with closed forms for A_{n-1}:
+the largest root height n - 1 (the highest root is the sum of all simple
+roots) and its largest coefficient, 1.  They feed two exact quantities: a
+lower bound for the decay exponent delta and an upper bound for vanishing
+orders of adjoint matrix coefficients.  Both are kept in integer / Fraction
+arithmetic; floats never enter.
 """
 
 from __future__ import annotations
@@ -11,103 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
-    "RootSystem",
     "GroupConstants",
     "DeltaBound",
-    "build_root_system",
     "group_constants",
     "delta_lower_bound",
     "order_bound_real",
 ]
-
-_FAMILIES = ("A", "B", "C", "D")
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    family: str
-    rank: int
-    simple_roots: tuple  # coordinate vectors, tuple of tuples of ints
-    positive_roots: tuple  # coefficient vectors over the simple roots
-
-    @property
-    def heights(self) -> tuple:
-        return tuple(sum(c) for c in self.positive_roots)
-
-    @property
-    def ht_sum(self) -> int:
-        """Largest height: max over positive roots of the coefficient sum."""
-        return max(self.heights)
-
-    @property
-    def coeff_max(self) -> int:
-        """Largest single coefficient in the highest root."""
-        highest = max(self.positive_roots, key=sum)
-        return max(highest)
-
-
-def _positive_root_coordinates(family: str, rank: int) -> list:
-    e = lambda i: tuple(1 if j == i else 0 for j in range(rank + 1))
-
-    def vec(dim, entries):  # entries: {index: value}
-        return tuple(entries.get(j, 0) for j in range(dim))
-
-    roots = []
-    if family == "A":
-        for i in range(rank + 1):
-            for j in range(i + 1, rank + 1):
-                roots.append(vec(rank + 1, {i: 1, j: -1}))
-    elif family in ("B", "C", "D"):
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                roots.append(vec(rank, {i: 1, j: -1}))
-                roots.append(vec(rank, {i: 1, j: 1}))
-        if family == "B":
-            for i in range(rank):
-                roots.append(vec(rank, {i: 1}))
-        elif family == "C":
-            for i in range(rank):
-                roots.append(vec(rank, {i: 2}))
-    return roots
-
-
-def _simple_root_coordinates(family: str, rank: int) -> list:
-    def vec(dim, entries):
-        return tuple(entries.get(j, 0) for j in range(dim))
-
-    if family == "A":
-        return [vec(rank + 1, {i: 1, i + 1: -1}) for i in range(rank)]
-    simples = [vec(rank, {i: 1, i + 1: -1}) for i in range(rank - 1)]
-    if family == "B":
-        simples.append(vec(rank, {rank - 1: 1}))
-    elif family == "C":
-        simples.append(vec(rank, {rank - 1: 2}))
-    elif family == "D":
-        simples.append(vec(rank, {rank - 2: 1, rank - 1: 1}))
-    return simples
-
-
-def build_root_system(family: str, rank: int) -> RootSystem:
-    """Positive roots of A_r, B_r, C_r, D_r as simple-root coefficient vectors."""
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    min_rank = 2 if family == "D" else 1
-    if rank < min_rank:
-        raise ValueError(f"rank {rank} too small for family {family}")
-    simples = _simple_root_coordinates(family, rank)
-    positives = _positive_root_coordinates(family, rank)
-    s = np.array(simples, dtype=float).T
-    coeff_vectors = []
-    for root in positives:
-        c, *_ = np.linalg.lstsq(s, np.array(root, dtype=float), rcond=None)
-        c_int = np.rint(c).astype(int)
-        if np.abs(s @ c_int - np.array(root, dtype=float)).max() > 1e-9:
-            raise AssertionError(f"root {root} is not an integer combination")
-        coeff_vectors.append(tuple(int(v) for v in c_int))
-    return RootSystem(family, rank, tuple(simples), tuple(coeff_vectors))
 
 
 @dataclass(frozen=True)
@@ -131,13 +43,12 @@ class GroupConstants:
 def group_constants(n: int) -> GroupConstants:
     if n < 2:
         raise ValueError(f"SL(n) constants need n >= 2, got {n}")
-    system = build_root_system("A", n - 1)
     return GroupConstants(
         dim_g=n * n - 1,
         dim_u=n * (n - 1) // 2,
         rank_k=n // 2,
-        ht_sum=system.ht_sum,
-        coeff_max=system.coeff_max,
+        ht_sum=n - 1,
+        coeff_max=1,
     )
 
 

@@ -8,13 +8,12 @@ near the identity, capped at a fixed search radius.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius, haar_orthogonal, mat_log, op_norm
+from .linalg import LogDomainError, frobenius, haar_orthogonal, mat_log, op_norm
 from .rootdata import group_constants
 
 # Search radius for discreteness.  Any value below ln(2)/2 keeps the
@@ -22,10 +21,7 @@ from .rootdata import group_constants
 # after a further doubling, so the radius computation stays sound.
 ZASSENHAUS_RADIUS = 0.34
 
-# Diagonal coweight rays pair with the simple roots through the integer 1.
-COWEIGHT_PAIRING = 1
-
-# Ceiling on the integer entry window an enumeration may request.
+# Ceiling on the integer entry window a radius search may request.
 DEFAULT_ENTRY_CAP = 1_000_000
 
 
@@ -217,26 +213,6 @@ def sample_mu_s(sp: SemisimpleParams, rng: np.random.Generator) -> np.ndarray:
     return k1 @ sp.s_lambda @ k2
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteGroupModel:
-    """g SL(n,Z) g^{-1} together with the entry window its searches may use."""
-
-    n: int
-    conjugator: np.ndarray
-    entry_bound: int
-
-    def __post_init__(self):
-        g = self.conjugator
-        if g.shape != (self.n, self.n):
-            raise ValueError(f"conjugator shape {g.shape} does not match n={self.n}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("conjugator entries must be finite")
-        if abs(np.linalg.det(g) - 1.0) > 1e-10:
-            raise ValueError("conjugator must have determinant 1")
-        if self.entry_bound < 0:
-            raise ValueError("entry_bound must be nonnegative")
-
-
 def candidate_entry_bound(conjugator: np.ndarray, r: float) -> int:
     """Integer entry window that provably contains every lattice element
     of log-norm at most r.
@@ -256,19 +232,6 @@ def candidate_entry_bound(conjugator: np.ndarray, r: float) -> int:
         raise ValueError("conjugator must be invertible")
     cond = float(svals[0] / svals[-1])
     return int(math.floor(cond * r * math.exp(r) + 0.5))
-
-
-def conjugated_lattice(
-    conjugator: np.ndarray,
-    rp: RadiusParams,
-    entry_cap: int = DEFAULT_ENTRY_CAP,
-) -> DiscreteGroupModel:
-    """Model factory; rejects conjugators whose searches would exceed the cap."""
-    g = np.asarray(conjugator, dtype=float)
-    bound = candidate_entry_bound(g, rp.rho)
-    if bound > entry_cap:
-        raise EnumerationCapError(required=bound, cap=entry_cap)
-    return DiscreteGroupModel(n=g.shape[0], conjugator=g, entry_bound=bound)
 
 
 def _int_det(mat: np.ndarray) -> int:
@@ -291,58 +254,6 @@ def _int_det(mat: np.ndarray) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def lattice_candidates(model: DiscreteGroupModel, r: float) -> list:
-    """Every gamma in SL(n,Z), gamma != I, within the integer entry window
-    for radius r.  Complete for log-norm <= r by the candidate_entry_bound
-    derivation; deliberately exhaustive rather than fast.
-    """
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError(f"radius must be finite and nonnegative, got {r}")
-    bound = candidate_entry_bound(model.conjugator, r)
-    if bound > model.entry_bound:
-        raise EnumerationCapError(required=bound, cap=model.entry_bound)
-    if bound == 0:
-        return []
-    n = model.n
-    if n == 2:
-        return _candidates_2x2(bound)
-    out = []
-    offsets = range(-bound, bound + 1)
-    eye = np.eye(n, dtype=np.int64)
-    for flat in itertools.product(offsets, repeat=n * n):
-        c = np.array(flat, dtype=np.int64).reshape(n, n)
-        if not c.any():
-            continue
-        gamma = eye + c
-        if _int_det(gamma) == 1:
-            out.append(gamma)
-    return out
-
-
-def _candidates_2x2(bound: int) -> list:
-    # Solve a d - b c = 1 for d instead of scanning the fourth entry.
-    out = []
-    for a in range(1 - bound, bound + 2):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                if a == 0:
-                    if b * c != -1:
-                        continue
-                    for d in range(1 - bound, bound + 2):
-                        gamma = np.array([[0, b], [c, d]], dtype=np.int64)
-                        out.append(gamma)
-                    continue
-                if (1 + b * c) % a != 0:
-                    continue
-                d = (1 + b * c) // a
-                if abs(d - 1) > bound:
-                    continue
-                if a == 1 and d == 1 and b == 0 and c == 0:
-                    continue
-                out.append(np.array([[a, b], [c, d]], dtype=np.int64))
-    return out
 
 
 def _gram_data(b: np.ndarray):
@@ -417,17 +328,17 @@ def _ball_points(rmat: np.ndarray, radius: float):
 
 
 def _conjugate_log_norm(g, g_inv, gamma, cap: float):
-    # None when the candidate certifiably lies outside the cap: if
-    # |M - I| >= 1 then |log M| >= ln 2 > ZASSENHAUS_RADIUS >= cap.
-    m = g @ gamma @ g_inv
-    if op_norm(m - np.eye(g.shape[0])) >= 1.0:
+    # None when the candidate certifiably lies outside the cap: mat_log
+    # refuses |M - I|_2 >= 1, and then |log M| >= ln 2 > ZASSENHAUS_RADIUS >= cap.
+    try:
+        value = frobenius(mat_log(g @ gamma @ g_inv))
+    except LogDomainError:
         return None
-    value = frobenius(mat_log(m))
     return value if value <= cap else None
 
 
-def discreteness_radius(model: DiscreteGroupModel, rp: RadiusParams) -> float:
-    """Smallest log-norm among conjugated lattice elements, capped at rho.
+def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
+    """Smallest log-norm among elements of g SL(n,Z) g^{-1}, capped at rho.
 
     Search: gamma = I + C qualifies only if |g C g^{-1}|_F <= rho e^rho,
     i.e. the row-stacked vector of C is an integer point of the lattice
@@ -435,20 +346,27 @@ def discreteness_radius(model: DiscreteGroupModel, rp: RadiusParams) -> float:
     completely (LLL-reduced basis, then a triangular interval search), so
     no qualifying element can be missed; a small inflation of the radius
     covers enumeration round-off, and every hit is confirmed against the
-    exact log-norm afterwards.
+    exact log-norm afterwards.  Raises EnumerationCapError when the entry
+    window of candidate_entry_bound exceeds DEFAULT_ENTRY_CAP.
     """
     if rp.rho > ZASSENHAUS_RADIUS:
-        # The discard rule below needs |log M| >= ln 2 to beat rho.
+        # The discard rule in _conjugate_log_norm needs ln 2 to beat rho.
         raise ValueError(f"rho must not exceed {ZASSENHAUS_RADIUS}, got {rp.rho}")
-    g = model.conjugator
+    g = np.asarray(conjugator, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"conjugator must be square, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("conjugator entries must be finite")
     needed = candidate_entry_bound(g, rp.rho)
-    if needed > model.entry_bound:
-        raise EnumerationCapError(required=needed, cap=model.entry_bound)
+    if needed > DEFAULT_ENTRY_CAP:
+        raise EnumerationCapError(required=needed, cap=DEFAULT_ENTRY_CAP)
+    if abs(np.linalg.det(g) - 1.0) > 1e-10:
+        raise ValueError("conjugator must have determinant 1")
     if needed == 0:
         # cond(g) rho e^rho < 1, while any nonzero integer C has
         # |g C g^{-1}|_F >= |C|_F / cond(g) >= 1 / cond(g): nothing to scan.
         return rp.rho
-    n = model.n
+    n = g.shape[0]
     g_inv = np.linalg.inv(g)
     lattice = np.kron(g, g_inv.T)
     reduced, transform = _lll_reduce(lattice)

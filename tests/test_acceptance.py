@@ -32,7 +32,6 @@ from thinpart.linalg import Subspace, haar_orthogonal, hadamard_bound, op_norm
 from thinpart.rootdata import delta_lower_bound, group_constants
 from thinpart.slgroup import (
     ad_operator,
-    conjugated_lattice,
     diagonal_ad_norm,
     discreteness_radius,
     expanding_element,
@@ -166,7 +165,7 @@ def test_criterion_06_grassmannian_projection_bound():
         ss = split_from_basis(frame[:, :dim_u])
         dim_w = int(rng.integers(1, dim_u + 1))
         w = Subspace(n, np.linalg.qr(rng.normal(size=(n, dim_w)))[0])
-        holds, slack = check_projection_bound(ss, w, rng, n_tuple_samples=200)
+        holds, slack = check_projection_bound(ss, w)
         assert holds, (n, dim_u, dim_w, slack)
         seen.add((n, dim_u, dim_w))
     admissible = {
@@ -189,7 +188,7 @@ def test_criterion_07_discreteness_radius():
     rp = radius_params(sp)
 
     def radius_of(g):
-        return discreteness_radius(conjugated_lattice(g, rp), rp)
+        return discreteness_radius(g, rp)
 
     rng = np.random.default_rng(7)
     shear = np.array([[1.0, 0.4], [0.0, 1.0]])

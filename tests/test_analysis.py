@@ -5,12 +5,9 @@ import pytest
 
 from thinpart.analysis import (
     Box,
-    DegenerateFieldError,
     GridTooSmallError,
     ScalarField,
     compact_group_sublevel_fit,
-    estimate_order,
-    good_constant_estimate,
     sublevel_measure,
 )
 
@@ -52,19 +49,6 @@ class TestSublevelMeasure:
             Box(center=np.zeros(2), radius=0.0)
 
 
-class TestGoodConstant:
-    def test_monomial_constant_is_moderate(self):
-        rng = np.random.default_rng(14)
-        c_hat = good_constant_estimate(_monomial(2), _UNIT, 0.5, [1e-2, 1e-3], 200, rng)
-        assert 0.5 <= c_hat <= 4.0
-
-    def test_degenerate_field_rejected(self):
-        rng = np.random.default_rng(15)
-        zero = ScalarField(1, lambda pts: np.zeros(len(pts)), "zero")
-        with pytest.raises(DegenerateFieldError):
-            good_constant_estimate(zero, _UNIT, 0.5, [1e-2], 10, rng)
-
-
 class TestCompactGroupFit:
     def test_so2_slope_and_prefactor(self):
         # measure{|cos theta| < eps} = (2/pi) asin(eps) ~ (2/pi) eps
@@ -87,23 +71,3 @@ class TestCompactGroupFit:
         rng = np.random.default_rng(18)
         with pytest.raises(GridTooSmallError):
             compact_group_sublevel_fit(2, (0, 0), [1e-9, 1e-8], rng, n_samples=2_000)
-
-
-class TestEstimateOrder:
-    def test_polynomial_orders(self):
-        for d in (0, 1, 2, 3):
-            field = ScalarField(1, lambda pts, d=d: (pts[:, 0] - 0.5) ** d, f"t^{d}")
-            assert estimate_order(field, 0.5, 4) == d
-
-    def test_flat_function_exceeds_max(self):
-        flat = ScalarField(1, lambda pts: np.full(len(pts), 0.0), "flat")
-        assert estimate_order(flat, 0.0, 3) == 4
-
-    def test_sin_at_zero(self):
-        field = ScalarField(1, lambda pts: np.sin(pts[:, 0]), "sin")
-        assert estimate_order(field, 0.0, 4) == 1
-
-    def test_requires_one_dimension(self):
-        field2 = ScalarField(2, lambda pts: pts[:, 0], "first")
-        with pytest.raises(ValueError):
-            estimate_order(field2, 0.0, 2)

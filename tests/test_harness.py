@@ -172,6 +172,11 @@ class TestRunners:
         assert rep.samples == []
         assert [v.check for v in rep.verdicts] == ["drift-balance"]
 
+    def test_key_inequality_estimated_p_hat(self):
+        rep = run_key_inequality(_SMALL)
+        assert rep.summary["p_hat_source"] == "estimated"
+        assert rep.summary["p_hat"] == run_expansion_probability(_SMALL).summary["p_hat"]
+
     def test_degenerate_p_hat_rejected(self):
         with pytest.raises(ConfigError):
             run_key_inequality(_SMALL, p_hat=1.5)
@@ -276,6 +281,22 @@ class TestCli:
         code = cli_main(["constants", "--config", str(bad)])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_pipeline_feeds_measured_p_hat(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_SMALL.to_json_dict()))
+        out = tmp_path / "p"
+        code = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "constants", "expansion-prob", "key-inequality",
+            "stationary-bound", "integrability", "evanescence",
+        ])
+        docs = {p.name: json.loads((p / "report.json").read_text()) for p in out.iterdir()}
+        assert code == (0 if all(v["passed"] for d in docs.values() for v in d["verdicts"]) else 2)
+        key = docs["key-inequality"]["summary"]
+        assert key["p_hat_source"] == "supplied"
+        assert key["p_hat"] == docs["expansion-prob"]["summary"]["p_hat"]
+        assert "key-inequality: [" in capsys.readouterr().out
 
     def test_seed_override_applies(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

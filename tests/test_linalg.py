@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import wedge_power
 from thinpart.linalg import (
     LogDomainError,
     Subspace,
@@ -14,10 +15,7 @@ from thinpart.linalg import (
     hadamard_bound,
     mat_exp,
     mat_log,
-    min_singular_ratio,
     op_norm,
-    traceless_defect,
-    wedge_power,
 )
 
 
@@ -76,6 +74,8 @@ class TestExpLog:
 
 
 class TestWedge:
+    """The exterior-power oracle that test_grassmann checks q(W) against."""
+
     @pytest.mark.parametrize("case", range(25))
     def test_cauchy_binet_multiplicativity(self, case):
         rng = _rng(2000 + case)
@@ -163,22 +163,8 @@ class TestNormsAndSubspace:
         bound = hadamard_bound(a)
         assert bound >= abs(np.linalg.det(a)) - 1e-9 * max(1.0, bound)
 
-    def test_traceless_defect_is_relative(self):
-        assert traceless_defect(np.diag([1.0, -1.0])) == 0.0
-        # the defect is measured in units of 1e-10 * ||X||_F
-        assert traceless_defect(np.eye(2)) > 1.0
-
     def test_subspace_requires_orthonormal_basis(self):
         with pytest.raises(ValueError):
             Subspace(3, np.ones((3, 2)))
         with pytest.raises(ValueError):
             Subspace(3, np.eye(3)[:, :0])
-
-    def test_min_singular_ratio_identity_projection(self):
-        w = Subspace(3, np.eye(3)[:, :2])
-        assert min_singular_ratio(np.eye(3), w) == pytest.approx(1.0)
-
-    def test_min_singular_ratio_rejects_non_projection(self):
-        w = Subspace(2, np.eye(2)[:, :1])
-        with pytest.raises(ValueError):
-            min_singular_ratio(2.0 * np.eye(2), w)

@@ -4,56 +4,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import type_a_positive_roots
 from thinpart.rootdata import (
-    build_root_system,
     delta_lower_bound,
     group_constants,
     order_bound_real,
 )
 
-# Closed-form data for the classical families, computed by hand:
+# Closed-form data for A_rank, computed by hand:
 # (positive root count, largest height, largest highest-root coefficient).
 _CLOSED_FORMS = {
     ("A", 1): (1, 1, 1),
     ("A", 2): (3, 2, 1),
     ("A", 3): (6, 3, 1),
     ("A", 5): (15, 5, 1),
-    ("B", 2): (4, 3, 2),
-    ("B", 3): (9, 5, 2),
-    ("C", 2): (4, 3, 2),
-    ("C", 3): (9, 5, 2),
-    ("D", 3): (6, 3, 1),  # D_3 = A_3: every highest-root coefficient is 1
-    ("D", 4): (12, 5, 2),
 }
 
 
 class TestRootSystems:
+    """The explicit root enumeration behind group_constants' closed forms."""
+
     @pytest.mark.parametrize("family,rank", sorted(_CLOSED_FORMS))
     def test_counts_heights_coefficients(self, family, rank):
         count, ht, cmax = _CLOSED_FORMS[(family, rank)]
-        rs = build_root_system(family, rank)
-        assert len(rs.positive_roots) == count
-        assert rs.ht_sum == ht
-        assert rs.coeff_max == cmax
+        roots = type_a_positive_roots(rank)
+        highest = max(roots, key=sum)
+        assert len(roots) == count
+        assert sum(highest) == ht == group_constants(rank + 1).ht_sum
+        assert max(highest) == cmax == group_constants(rank + 1).coeff_max
 
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_type_a_height_multiset(self, rank):
         # height h occurs rank + 1 - h times in A_rank
-        heights = sorted(build_root_system("A", rank).heights)
+        heights = sorted(sum(root) for root in type_a_positive_roots(rank))
         want = sorted(h for h in range(1, rank + 1) for _ in range(rank + 1 - h))
         assert heights == want
 
     def test_coefficients_are_nonnegative(self):
-        for family, rank in _CLOSED_FORMS:
-            rs = build_root_system(family, rank)
-            assert all(c >= 0 for root in rs.positive_roots for c in root)
-            assert all(sum(root) >= 1 for root in rs.positive_roots)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            build_root_system("E", 6)
-        with pytest.raises(ValueError):
-            build_root_system("D", 1)
+        for _, rank in _CLOSED_FORMS:
+            roots = type_a_positive_roots(rank)
+            assert all(c >= 0 for root in roots for c in root)
+            assert all(sum(root) >= 1 for root in roots)
 
 
 class TestGroupConstants:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lattice_candidates
 from thinpart.harness.experiments import sample_base_conjugator
 from thinpart.linalg import frobenius, haar_orthogonal, mat_log, op_norm
 from thinpart.slgroup import (
+    DEFAULT_ENTRY_CAP,
     DegenerateRayError,
-    DiscreteGroupModel,
     EnumerationCapError,
     RadiusParams,
     ZASSENHAUS_RADIUS,
@@ -19,11 +20,9 @@ from thinpart.slgroup import (
     _lll_reduce,
     ad_operator,
     candidate_entry_bound,
-    conjugated_lattice,
     diagonal_ad_norm,
     discreteness_radius,
     expanding_element,
-    lattice_candidates,
     radius_params,
     reduced_conjugator,
     sample_mu_s,
@@ -31,10 +30,6 @@ from thinpart.slgroup import (
 )
 
 E = math.e
-
-
-def _radius(g, rp):
-    return discreteness_radius(conjugated_lattice(g, rp), rp)
 
 
 # Loose scale: rho = 0.34 / e^2, big enough that moderately conditioned
@@ -134,13 +129,10 @@ class TestCandidateEnumeration:
         assert candidate_entry_bound(np.eye(2), 1.2) == 4
 
     def test_identity_small_radius_empty(self):
-        model = conjugated_lattice(np.eye(2), RadiusParams(R=0.34, rho=0.3))
-        assert lattice_candidates(model, 0.3) == []
+        assert lattice_candidates(np.eye(2), 0.3) == []
 
     def test_identity_unit_ball_frozen_count(self):
-        # the factory pins the window at rho; widen it by hand for r = 1.2
-        model = DiscreteGroupModel(2, np.eye(2), candidate_entry_bound(np.eye(2), 1.2))
-        cands = lattice_candidates(model, 1.2)
+        cands = lattice_candidates(np.eye(2), 1.2)
         assert len(cands) == 195
         as_tuples = {tuple(map(tuple, c)) for c in cands}
         for shear in (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1))):
@@ -151,26 +143,25 @@ class TestCandidateEnumeration:
     def test_2x2_solver_matches_brute_force(self):
         # independent re-derivation: scan the full integer box
         bound = candidate_entry_bound(np.eye(2), 1.2)
-        model = DiscreteGroupModel(2, np.eye(2), bound)
         brute = set()
         rng_box = range(-bound, bound + 1)
         for a, b, c, d in itertools.product(rng_box, repeat=4):
             gamma = np.array([[1 + a, b], [c, 1 + d]], dtype=np.int64)
             if (a, b, c, d) != (0, 0, 0, 0) and _int_det(gamma) == 1:
                 brute.add(tuple(map(tuple, gamma)))
-        got = {tuple(map(tuple, c)) for c in lattice_candidates(model, 1.2)}
+        got = {tuple(map(tuple, c)) for c in lattice_candidates(np.eye(2), 1.2)}
         assert got == brute
 
     def test_negative_radius_rejected(self):
-        model = conjugated_lattice(np.eye(2), _LOOSE_RP)
         with pytest.raises(ValueError):
-            lattice_candidates(model, -0.1)
+            lattice_candidates(np.eye(2), -0.1)
 
     def test_cap_error_carries_requirement(self):
-        g = np.diag([1e-3, 1e3])
+        # cond(g) = 1e8 asks for a window of about 4.8e6 at the loose rho
+        g = np.diag([1e-4, 1e4])
         with pytest.raises(EnumerationCapError) as info:
-            conjugated_lattice(g, _LOOSE_RP, entry_cap=10)
-        assert info.value.required > info.value.cap == 10
+            discreteness_radius(g, _LOOSE_RP)
+        assert info.value.required > info.value.cap == DEFAULT_ENTRY_CAP
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -222,25 +213,25 @@ class TestLatticeReduction:
 
 class TestDiscretenessRadius:
     def test_identity_model_sits_at_ceiling(self):
-        assert _radius(np.eye(2), _LOOSE_RP) == _LOOSE_RP.rho
+        assert discreteness_radius(np.eye(2), _LOOSE_RP) == _LOOSE_RP.rho
 
     def test_cusp_closed_form(self):
         t = 10.0
-        got = _radius(np.diag([1.0 / t, t]), _LOOSE_RP)
+        got = discreteness_radius(np.diag([1.0 / t, t]), _LOOSE_RP)
         assert got == pytest.approx(1e-2, rel=1e-15)
 
     def test_cusp_scaling_family(self):
         for t in (8.0, 12.0, 20.0):
-            got = _radius(np.diag([1.0 / t, t]), _LOOSE_RP)
+            got = discreteness_radius(np.diag([1.0 / t, t]), _LOOSE_RP)
             assert got == pytest.approx(t**-2, rel=1e-12)
 
     def test_rotation_invariance(self):
         for case in range(20):
             rng = np.random.default_rng([37, case])
             g = sample_base_conjugator(2, rng, cond_low=2.0, cond_high=200.0)
-            base = _radius(g, _LOOSE_RP)
+            base = discreteness_radius(g, _LOOSE_RP)
             k = haar_orthogonal(2, rng)
-            assert abs(_radius(k @ g, _LOOSE_RP) - base) <= 1e-9
+            assert abs(discreteness_radius(k @ g, _LOOSE_RP) - base) <= 1e-9
 
     def test_global_expansion_floor(self):
         sp, rp = _LOOSE_SP, _LOOSE_RP
@@ -248,36 +239,49 @@ class TestDiscretenessRadius:
         for case in range(30):
             rng = np.random.default_rng([38, case])
             g = sample_base_conjugator(2, rng, cond_low=2.0, cond_high=200.0)
-            before = _radius(g, rp)
-            after = _radius(sp.s_lambda @ g, rp)
+            before = discreteness_radius(g, rp)
+            after = discreteness_radius(sp.s_lambda @ g, rp)
             assert after >= before / sp.ad_norm - 1e-9
             if before < rp.rho:
                 nontrivial += 1
         assert nontrivial >= 5  # the sweep must exercise real candidates
 
     def test_box_oracle_agreement_is_exact(self):
-        # dual route: exhaustive box enumeration + the same log-norm formula
-        rp = RadiusParams(R=0.34, rho=0.3)
-        for case in range(30):
-            rng = np.random.default_rng([39, case])
-            g = sample_base_conjugator(2, rng, cond_low=1.5, cond_high=10.0)
-            model = conjugated_lattice(g, rp)
-            g_inv = np.linalg.inv(g)
-            best = rp.rho
-            for gamma in lattice_candidates(model, rp.rho):
-                m = g @ gamma.astype(float) @ g_inv
-                if op_norm(m - np.eye(2)) >= 1.0:
-                    continue
-                value = frobenius(mat_log(m))
-                if value <= rp.rho:
-                    best = min(best, value)
-            # the box route is complete at rho, so the minima agree exactly
-            assert discreteness_radius(model, rp) == best
+        # dual route: exhaustive box enumeration + the same log-norm formula,
+        # at a loose rho and at the default config's rho ~ 0.0062 with the
+        # conditioning its base draws reach
+        default_rp = radius_params(expanding_element(2, 55.0, math.exp(-1.0)))
+        inputs = [
+            (RadiusParams(R=0.34, rho=0.3), 1.5, 10.0, 39, 30),
+            (default_rp, 1e2, 3e3, 41, 24),
+        ]
+        nontrivial = 0
+        for rp, cond_low, cond_high, tag, count in inputs:
+            for case in range(count):
+                rng = np.random.default_rng([tag, case])
+                g = sample_base_conjugator(2, rng, cond_low=cond_low, cond_high=cond_high)
+                g_inv = np.linalg.inv(g)
+                best = rp.rho
+                for gamma in lattice_candidates(g, rp.rho):
+                    m = g @ gamma.astype(float) @ g_inv
+                    if op_norm(m - np.eye(2)) >= 1.0:
+                        continue
+                    value = frobenius(mat_log(m))
+                    if value <= rp.rho:
+                        best = min(best, value)
+                # the box route is complete at rho, so the minima agree exactly
+                assert discreteness_radius(g, rp) == best
+                nontrivial += best < rp.rho
+        assert nontrivial >= 20
 
     def test_rho_above_zassenhaus_rejected(self):
-        model = conjugated_lattice(np.eye(2), RadiusParams(R=0.34, rho=0.3))
         with pytest.raises(ValueError):
-            discreteness_radius(model, RadiusParams(R=0.5, rho=0.4))
+            discreteness_radius(np.eye(2), RadiusParams(R=0.5, rho=0.4))
+
+    def test_invalid_conjugator_rejected(self):
+        for g in (np.eye(3)[:2], np.diag([np.nan, 1.0]), np.diag([2.0, 1.0])):
+            with pytest.raises(ValueError):
+                discreteness_radius(g, _LOOSE_RP)
 
 
 class TestReducedConjugator:
@@ -291,6 +295,6 @@ class TestReducedConjugator:
         tame = reduced_conjugator(wild)
         assert abs(float(np.linalg.det(tame)) - 1.0) <= 1e-9
         assert np.linalg.cond(tame) <= np.linalg.cond(wild) * (1.0 + 1e-9)
-        r_wild = _radius(wild, _LOOSE_RP)
-        r_tame = _radius(tame, _LOOSE_RP)
+        r_wild = discreteness_radius(wild, _LOOSE_RP)
+        r_tame = discreteness_radius(tame, _LOOSE_RP)
         assert abs(r_wild - r_tame) <= 1e-9
