@@ -58,6 +58,15 @@ def split_from_basis(u_basis: np.ndarray) -> SplitSpace:
     return SplitSpace(b.shape[0], p, np.eye(b.shape[0]) - p)
 
 
+def _restricted_singular_values(ss: SplitSpace, w: Subspace) -> np.ndarray:
+    """Singular values of P restricted to W, in decreasing order."""
+    if w.dim > ss.dim_u:
+        raise ValueError(f"tuple length {w.dim} exceeds dim U = {ss.dim_u}")
+    if w.ambient_dim != ss.ambient_dim:
+        raise ValueError("split and subspace dimensions disagree")
+    return np.linalg.svd(ss.proj_u @ w.basis, compute_uv=False)
+
+
 def q_of_subspace(ss: SplitSpace, w: Subspace) -> float:
     """sup over unit tuples (w_1 .. w_l) in W of ||P w_1 ^ ... ^ P w_l||.
 
@@ -66,11 +75,7 @@ def q_of_subspace(ss: SplitSpace, w: Subspace) -> float:
     w_i = B c_i scales that value by |det C| <= 1 (Hadamard).  Always <= 1
     for an orthogonal projection.
     """
-    if w.dim > ss.dim_u:
-        raise ValueError(f"tuple length {w.dim} exceeds dim U = {ss.dim_u}")
-    if w.ambient_dim != ss.ambient_dim:
-        raise ValueError("split and subspace dimensions disagree")
-    return float(np.prod(np.linalg.svd(ss.proj_u @ w.basis, compute_uv=False)))
+    return float(np.prod(_restricted_singular_values(ss, w)))
 
 
 def check_projection_bound(ss: SplitSpace, w: Subspace) -> tuple:
@@ -80,9 +85,8 @@ def check_projection_bound(ss: SplitSpace, w: Subspace) -> tuple:
     """
     if np.abs(ss.proj_u - ss.proj_u.T).max() > 1e-10:
         raise ValueError("projection bound requires an orthogonal split")
-    q_hat = q_of_subspace(ss, w)
-    sigma_min = float(np.linalg.svd(ss.proj_u @ w.basis, compute_uv=False)[-1])
-    slack = sigma_min - q_hat
+    svals = _restricted_singular_values(ss, w)
+    slack = float(svals[-1]) - float(np.prod(svals))
     return slack >= -1e-10, slack
 
 

@@ -1,8 +1,7 @@
 """Dense matrix kernels shared by every experiment.
 
 Everything here is plain float64 numpy. Matrices are square unless noted,
-random sampling always goes through an explicit numpy Generator, and the
-exp/log pair is written so that each stays a usable oracle for the other.
+and random sampling always goes through an explicit numpy Generator.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ __all__ = [
     "frobenius",
     "op_norm",
     "haar_orthogonal",
-    "mat_exp",
     "mat_log",
     "hadamard_bound",
 ]
@@ -76,65 +74,33 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def mat_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on the Taylor series."""
-    x = np.asarray(x, dtype=float)
-    nrm = frobenius(x)
-    if not np.isfinite(nrm):
-        raise ValueError("non-finite input")
-    squarings = max(0, int(np.ceil(np.log2(nrm / 0.0625))) if nrm > 0.0625 else 0)
-    y = x / (2.0**squarings)
-    n = x.shape[0]
-    term = np.eye(n)
-    out = np.eye(n)
-    # ||y|| <= 1/16, so 16 terms leave a remainder below 1e-21
-    for k in range(1, 17):
-        term = term @ y / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def _sqrt_near_identity(m: np.ndarray) -> np.ndarray:
-    """Denman-Beavers square root; valid on our domain (spectrum right of 0)."""
-    y, z = m, np.eye(m.shape[0])
-    for _ in range(60):
-        y_next = 0.5 * (y + np.linalg.inv(z))
-        z = 0.5 * (z + np.linalg.inv(y))
-        step = frobenius(y_next - y)
-        y = y_next
-        if step <= 1e-16 * max(1.0, frobenius(y)):
-            break
-    return y
-
-
 def mat_log(m: np.ndarray) -> np.ndarray:
-    """Principal logarithm for ||M - I||_op < 1.
+    """Principal logarithm for ||M - I||_F <= 1/2, by the Mercator series.
 
-    Inverse scaling-and-squaring: repeated square roots until the Mercator
-    series converges fast, then sum and undo by doubling.
+    log(I + E) = sum_{k >= 1} (-1)^{k+1} E^k / k, summed to the smallest K
+    with t^K <= 2^-55, t = ||E||_F.  For t <= 1/2 the tail is at most
+    t^{K+1} / ((K+1)(1-t)) <= 2^-54 t, while ||log M||_F >= t - t^2/(2(1-t))
+    >= t/2, so the tail sits below an ulp of ||log M||_F.  K is 8 at
+    t = 0.0062 and 55 at t = 1/2.  The sum stops early once a power of E
+    is exactly zero (nilpotent E, as for unipotent M).
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    eye = np.eye(n)
-    dist = op_norm(m - eye)
-    if not dist < 1.0:
-        raise LogDomainError(f"||M - I||_op = {dist:.6f} is outside the unit ball")
-    doublings = 0
-    while frobenius(m - eye) > 0.25:
-        m = _sqrt_near_identity(m)
-        doublings += 1
-        if doublings > 60:  # not reachable from the guarded domain
-            raise LogDomainError("square-root scaling failed to contract")
-    e = m - eye
+    e = m - np.eye(m.shape[0])
+    t = frobenius(e)
+    if not t <= 0.5:
+        raise LogDomainError(f"||M - I||_F = {t:.6f} is outside the ball of radius 1/2")
     out = np.zeros_like(e)
-    power = eye.copy()
-    # ||E||_F <= 1/4: 32 terms put the remainder near 1e-20
-    for k in range(1, 33):
+    power = np.eye(m.shape[0])
+    k = 0
+    t_k = 1.0
+    while t_k > 2.0**-55:
+        k += 1
         power = power @ e
+        if not power.any():
+            break
         out = out + ((-1.0) ** (k + 1) / k) * power
-    return out * (2.0**doublings)
+        t_k *= t
+    return out
 
 
 def hadamard_bound(a: np.ndarray) -> float:

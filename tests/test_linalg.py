@@ -13,10 +13,10 @@ from thinpart.linalg import (
     frobenius,
     haar_orthogonal,
     hadamard_bound,
-    mat_exp,
     mat_log,
     op_norm,
 )
+from thinpart.slgroup import ZASSENHAUS_RADIUS
 
 
 def _rng(index=0):
@@ -24,14 +24,31 @@ def _rng(index=0):
 
 
 class TestExpLog:
+    """mat_log against scipy; the exponential side of the pair is scipy's expm."""
+
     @pytest.mark.parametrize("case", range(40))
     def test_exp_matches_scipy(self, case):
+        # on the ball |x|_F <= ZASSENHAUS_RADIUS, e^x obeys the bound
+        # |e^x - I|_F <= |x|_F e^{|x|_F} that the radius kernel pads its
+        # search ball with, and mat_log returns x
         rng = _rng(case)
         n = int(rng.integers(2, 6))
         x = rng.standard_normal((n, n))
-        got = mat_exp(x)
-        want = scipy.linalg.expm(x)
-        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        x *= ZASSENHAUS_RADIUS * rng.uniform(0.1, 1.0) / frobenius(x)
+        t = frobenius(x)
+        m = scipy.linalg.expm(x)
+        assert frobenius(m - np.eye(n)) <= t * np.exp(t)
+        assert np.abs(mat_log(m) - x).max() <= 1e-12
+
+    def test_exp_of_zero(self):
+        # exp(0) = I read backwards: E = 0 ends the series at its first power
+        assert np.array_equal(mat_log(np.eye(3)), np.zeros((3, 3)))
+
+    def test_exp_rejects_non_finite(self):
+        with pytest.raises(LogDomainError):
+            mat_log(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(LogDomainError):
+            mat_log(np.array([[1.0, -np.inf], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("case", range(40))
     def test_log_matches_scipy(self, case):
@@ -45,17 +62,34 @@ class TestExpLog:
         assert np.abs(got - want).max() <= 1e-10
 
     def test_log_exp_round_trip(self):
+        # |x|_F <= ZASSENHAUS_RADIUS keeps |e^x - I|_F <= 0.34 e^0.34 < 1/2
         rng = _rng(7)
         for _ in range(20):
-            x = 0.2 * rng.standard_normal((3, 3))
-            assert np.abs(mat_log(mat_exp(x)) - x).max() <= 1e-12
+            x = rng.standard_normal((3, 3))
+            x *= ZASSENHAUS_RADIUS * rng.uniform(0.1, 1.0) / frobenius(x)
+            assert np.abs(mat_log(scipy.linalg.expm(x)) - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_log_at_the_search_ball_edge(self, n):
+        # |M - I|_F = rho e^rho at rho = ZASSENHAUS_RADIUS, the widest ball
+        # the radius kernel searches
+        rng = _rng(9000 + n)
+        e = rng.standard_normal((n, n))
+        m = np.eye(n) + ZASSENHAUS_RADIUS * np.exp(ZASSENHAUS_RADIUS) * e / frobenius(e)
+        want = np.real(scipy.linalg.logm(m))
+        assert frobenius(mat_log(m) - want) <= 1e-13 * frobenius(want)
 
     def test_log_rejects_far_matrices(self):
         with pytest.raises(LogDomainError):
             mat_log(np.diag([3.0, 1.0]))
-        # boundary: ||M - I|| exactly 1 is out
         with pytest.raises(LogDomainError):
             mat_log(np.diag([2.0, 1.0]))
+        # boundary: |M - I|_F = 1/2 is in, one ulp above it is out
+        assert mat_log(np.diag([1.5, 1.0]))[0, 0] == pytest.approx(np.log(1.5), rel=1e-15)
+        with pytest.raises(LogDomainError):
+            mat_log(np.diag([np.nextafter(1.5, 2.0), 1.0]))
+        with pytest.raises(LogDomainError):
+            mat_log(np.diag([np.nan, 1.0]))
 
     def test_log_of_unipotent_is_nilpotent(self):
         # the series terminates exactly for a single off-diagonal entry
@@ -64,13 +98,6 @@ class TestExpLog:
         log = mat_log(m)
         assert log[0, 1] == pytest.approx(0.01, rel=1e-15)
         assert abs(log[0, 0]) < 1e-18 and abs(log[1, 0]) < 1e-18
-
-    def test_exp_of_zero(self):
-        assert np.array_equal(mat_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_exp_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            mat_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
 class TestWedge:

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lattice_candidates
+from thinpart import slgroup
 from thinpart.harness.experiments import sample_base_conjugator
-from thinpart.linalg import frobenius, haar_orthogonal, mat_log, op_norm
+from thinpart.linalg import LogDomainError, frobenius, haar_orthogonal, mat_log, op_norm
 from thinpart.slgroup import (
     DEFAULT_ENTRY_CAP,
     DegenerateRayError,
@@ -263,16 +264,30 @@ class TestDiscretenessRadius:
                 g_inv = np.linalg.inv(g)
                 best = rp.rho
                 for gamma in lattice_candidates(g, rp.rho):
-                    m = g @ gamma.astype(float) @ g_inv
-                    if op_norm(m - np.eye(2)) >= 1.0:
+                    try:
+                        value = frobenius(mat_log(g @ gamma.astype(float) @ g_inv))
+                    except LogDomainError:
                         continue
-                    value = frobenius(mat_log(m))
                     if value <= rp.rho:
                         best = min(best, value)
                 # the box route is complete at rho, so the minima agree exactly
                 assert discreteness_radius(g, rp) == best
                 nontrivial += best < rp.rho
         assert nontrivial >= 20
+
+    def test_padded_search_ball_stays_in_the_log_domain(self, monkeypatch):
+        # at the largest allowed rho the kernel's padded ball radius, which
+        # bounds |M - I|_F of every candidate, stays inside mat_log's 1/2
+        seen = []
+
+        def recording(rmat, radius):
+            seen.append(radius)
+            return _ball_points(rmat, radius)
+
+        monkeypatch.setattr(slgroup, "_ball_points", recording)
+        rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
+        discreteness_radius(np.diag([2.0, 0.5]), rp)
+        assert len(seen) == 1 and seen[0] < 0.5
 
     def test_rho_above_zassenhaus_rejected(self):
         with pytest.raises(ValueError):
