@@ -30,7 +30,7 @@ _RUNNERS = {
     "constants": (run_constants, ()),
     "expansion-prob": (run_expansion_probability, ()),
     "key-inequality": (run_key_inequality, ("p_hat", "delta_factor")),
-    "stationary-bound": (run_stationary_bound, ("p_hat", "symmetrized")),
+    "stationary-bound": (run_stationary_bound, ("p_hat",)),
     "integrability": (run_integrability, ("p_hat", "exponent_factor")),
     "evanescence": (run_evanescence, ()),
     "goodfn": (run_goodfn, ()),
@@ -79,11 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--exponent-factor", type=float, dest="exponent_factor", default=1.0,
                 metavar="F", help="scale the moment exponent; no verdicts away from 1",
-            )
-        if "symmetrized" in extras:
-            p.add_argument(
-                "--symmetrized", action="store_true",
-                help="mix the inverse expanding step in with probability 1/2",
             )
     _add_run_flags(
         sub.add_parser(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from ..slgroup import (
     DegenerateRayError,
@@ -74,9 +74,8 @@ class ExperimentConfig:
         return out
 
     def replace(self, **updates) -> "ExperimentConfig":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(updates)
-        return ExperimentConfig(**current)
+        """dataclasses.replace; __post_init__ validates the new config."""
+        return replace(self, **updates)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -262,30 +262,37 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# key inequality
+# key inequality, and the drift set-up it shares with the walk runners
 
 
-def _resolve_p_hat(cfg: ExperimentConfig, p_hat) -> tuple:
+def _drift_setup(experiment, cfg, columns, p_hat, delta_factor=1.0, extra=None):
+    """Group, p_hat and drift constants shared by the three drift runners.
+
+    Returns (sp, rp, cp, p_hat, source), or the finished report of a
+    failed drift balance.  p_hat None means estimate it with a full
+    expansion-prob run.
+    """
+    sp, rp = derive_group(cfg)
     if p_hat is None:
-        est = run_expansion_probability(cfg)
-        return float(est.summary["p_hat"]), "estimated"
-    p = float(p_hat)
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"supplied p_hat {p} is not a probability")
-    return p, "supplied"
-
-
-def _balance_failure(experiment, cfg, columns, p_hat, source, exc, extra=None):
-    summary = {
-        "p_hat": p_hat,
-        "p_hat_source": source,
-        "balance_failed": True,
-        "detail": str(exc),
-        "advice": "increase lambda until the expansion term dominates",
-    }
-    if extra:
-        summary.update(extra)
-    return _report(experiment, cfg, columns, [], summary, [Verdict("drift-balance", False, None)])
+        p_val, source = float(run_expansion_probability(cfg).summary["p_hat"]), "estimated"
+    else:
+        p_val, source = float(p_hat), "supplied"
+        if not 0.0 <= p_val <= 1.0:
+            raise ConfigError(f"supplied p_hat {p_val} is not a probability")
+    try:
+        cp = drift_parameters(cfg, rp, p_val, delta_factor)
+    except BalanceError as exc:
+        summary = {
+            "p_hat": p_val,
+            "p_hat_source": source,
+            "balance_failed": True,
+            "detail": str(exc),
+            "advice": "increase lambda until the expansion term dominates",
+            **(extra or {}),
+        }
+        verdicts = [Verdict("drift-balance", False, None)]
+        return _report(experiment, cfg, columns, [], summary, verdicts)
+    return sp, rp, cp, p_val, source
 
 
 def _drift_base_task(task):
@@ -315,15 +322,13 @@ def run_key_inequality(
     per-base sample mean minus a 3-sigma allowance is compared against the
     drift line.  The verdict asks for at least 95% of bases to pass.
     """
-    sp, rp = derive_group(cfg)
-    p_val, source = _resolve_p_hat(cfg, p_hat)
-    try:
-        cp = drift_parameters(cfg, rp, p_val, delta_factor)
-    except BalanceError as exc:
-        return _balance_failure(
-            "key-inequality", cfg, _KEY_COLUMNS, p_val, source, exc,
-            extra={"delta_factor": delta_factor},
-        )
+    setup = _drift_setup(
+        "key-inequality", cfg, _KEY_COLUMNS, p_hat, delta_factor,
+        extra={"delta_factor": delta_factor},
+    )
+    if isinstance(setup, ExperimentReport):
+        return setup
+    sp, rp, cp, p_val, source = setup
 
     base_tasks = [(cfg.seed, b, cfg.group_n, rp) for b in range(cfg.n_base_points)]
     bases = _pool_map(_drift_base_task, base_tasks, cfg.workers)
@@ -374,28 +379,26 @@ def run_key_inequality(
 # stationary superlevel bound and integrability, over the same walk
 
 
-def _walk_radii(cfg: ExperimentConfig, sp, rp, symmetrized: bool) -> tuple:
-    """Radius along the conjugation walk; (step, radius-or-None) rows.
+def _walk(cfg: ExperimentConfig, sp, rp, min_kept: int) -> tuple:
+    """Radius along the mu_s conjugation walk g_t = k1 s_lambda k2 g_{t-1}.
 
-    The conjugator is renormalized after every step, which changes nothing
-    the radius can see but keeps its conditioning near 1/radius.  Steps
-    whose search exceeds the entry window are recorded as None and tolerated
-    up to max(5, length/200) incidents.
+    Returns (rows, kept, burn, incidents): rows holds (step, radius-or-None)
+    for every step, kept the (step, radius) pairs after the first
+    walk_length // 10 burn-in steps.  mu_s is symmetric, since
+    s_lambda^-1 = w s_lambda w^T for a signed reversal permutation w in
+    SO(n), so the walk needs no separate inverse step.  The conjugator is
+    renormalized after every step, which changes nothing the radius can
+    see but keeps its conditioning near 1/radius.  Steps whose search
+    exceeds the entry window are recorded as None and tolerated up to
+    max(5, length/200) incidents.  Raises InsufficientDataError below
+    min_kept radii.
     """
-    n = cfg.group_n
-    g = np.eye(n)
-    inv_core = np.diag(1.0 / np.diag(sp.s_lambda))
+    g = np.eye(cfg.group_n)
     cap_limit = max(5, cfg.walk_length // 200)
     incidents = 0
     rows = []
     for t in range(1, cfg.walk_length + 1):
-        rng = _rng(cfg.seed, _TAG_WALK, t)
-        k1 = haar_orthogonal(n, rng)
-        k2 = haar_orthogonal(n, rng)
-        core = sp.s_lambda
-        if symmetrized and int(rng.integers(2)) == 1:
-            core = inv_core
-        g = reduced_conjugator(k1 @ core @ k2 @ g)
+        g = reduced_conjugator(sample_mu_s(sp, _rng(cfg.seed, _TAG_WALK, t)) @ g)
         try:
             radius = model_radius(g, rp)
         except EnumerationCapError as exc:
@@ -404,43 +407,32 @@ def _walk_radii(cfg: ExperimentConfig, sp, rp, symmetrized: bool) -> tuple:
                 raise WalkCapError(t, incidents, exc.required, exc.cap) from exc
             radius = None
         rows.append((t, radius))
-    return rows, incidents
-
-
-def _retained(cfg: ExperimentConfig, rows: list) -> tuple:
     burn = cfg.walk_length // 10
     kept = [(t, r) for t, r in rows if t > burn and r is not None]
-    return burn, kept
+    if len(kept) < min_kept:
+        raise InsufficientDataError(
+            f"{len(kept)} usable walk steps after burn-in, {min_kept} needed; "
+            f"increase walk_length"
+        )
+    return rows, kept, burn, incidents
 
 
 _WALK_COLUMNS = ("step", "i_value", "retained")
 
 
-def run_stationary_bound(
-    cfg: ExperimentConfig, p_hat=None, symmetrized: bool = False
-) -> ExperimentReport:
+def run_stationary_bound(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
     """Occupation-measure test of the superlevel tail bound.
 
     After burn-in, the fraction of walk steps with radius below eps is
     compared against beta eps^delta with beta = b / (1 - c); the slope of
     the populated part of the tail is fitted as a second, scale-free check.
     """
-    sp, rp = derive_group(cfg)
-    p_val, source = _resolve_p_hat(cfg, p_hat)
-    try:
-        cp = drift_parameters(cfg, rp, p_val)
-    except BalanceError as exc:
-        return _balance_failure(
-            "stationary-bound", cfg, _WALK_COLUMNS, p_val, source, exc,
-            extra={"symmetrized": symmetrized},
-        )
+    setup = _drift_setup("stationary-bound", cfg, _WALK_COLUMNS, p_hat)
+    if isinstance(setup, ExperimentReport):
+        return setup
+    sp, rp, cp, p_val, source = setup
 
-    rows, incidents = _walk_radii(cfg, sp, rp, symmetrized)
-    burn, kept = _retained(cfg, rows)
-    if len(kept) < 2:
-        raise InsufficientDataError(
-            f"only {len(kept)} usable walk steps after burn-in; increase walk_length"
-        )
+    rows, kept, burn, incidents = _walk(cfg, sp, rp, min_kept=2)
     radii = np.array([r for _, r in kept])
     n_ret = len(radii)
     beta = markov_superlevel_bound(cp.c, cp.b, 1.0)
@@ -472,7 +464,6 @@ def run_stationary_bound(
     summary = {
         "p_hat": p_val,
         "p_hat_source": source,
-        "symmetrized": symmetrized,
         "delta": cp.delta,
         "c": cp.c,
         "b": cp.b,
@@ -508,24 +499,16 @@ def run_integrability(
     """
     if not exponent_factor > 0:
         raise ConfigError("exponent_factor must be positive")
-    sp, rp = derive_group(cfg)
-    p_val, source = _resolve_p_hat(cfg, p_hat)
-    try:
-        cp = drift_parameters(cfg, rp, p_val)
-    except BalanceError as exc:
-        return _balance_failure(
-            "integrability", cfg, _INTEGRABILITY_COLUMNS, p_val, source, exc,
-            extra={"exponent_factor": exponent_factor},
-        )
+    setup = _drift_setup(
+        "integrability", cfg, _INTEGRABILITY_COLUMNS, p_hat,
+        extra={"exponent_factor": exponent_factor},
+    )
+    if isinstance(setup, ExperimentReport):
+        return setup
+    sp, rp, cp, p_val, source = setup
     exponent = 0.5 * cp.delta * exponent_factor
 
-    rows, incidents = _walk_radii(cfg, sp, rp, symmetrized=False)
-    burn, kept = _retained(cfg, rows)
-    if len(kept) < _CHECKPOINTS:
-        raise InsufficientDataError(
-            f"{len(kept)} usable walk steps after burn-in cannot support "
-            f"{_CHECKPOINTS} checkpoints; increase walk_length"
-        )
+    _, kept, burn, incidents = _walk(cfg, sp, rp, min_kept=_CHECKPOINTS)
     f_vals = np.array([r for _, r in kept]) ** (-exponent)
     running = np.cumsum(f_vals) / np.arange(1, len(f_vals) + 1)
     positions = [((k + 1) * len(f_vals)) // _CHECKPOINTS - 1 for k in range(_CHECKPOINTS)]

@@ -14,7 +14,6 @@ __all__ = [
     "LogDomainError",
     "Subspace",
     "frobenius",
-    "op_norm",
     "haar_orthogonal",
     "mat_log",
     "hadamard_bound",
@@ -27,11 +26,6 @@ class LogDomainError(ValueError):
 
 def frobenius(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
-
-
-def op_norm(m: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(m, 2))
 
 
 @dataclass(frozen=True)

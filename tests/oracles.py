@@ -2,7 +2,9 @@
 
 Each one reaches its answer by a route independent of the code under test:
 exhaustive integer windows for the discreteness radius, minors for wedge
-norms, and explicit roots for the type-A constants.
+norms, explicit roots for the type-A constants, and the adjoint action
+as an explicit matrix on sl(n), whose spectral norm checks the closed-form
+Ad norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
 """
 
 import itertools
@@ -71,3 +73,66 @@ def type_a_positive_roots(rank: int) -> list:
         x[i], x[j] = 1, -1
         roots.append(tuple(itertools.accumulate(x))[:rank])
     return roots
+
+
+def op_norm(m: np.ndarray) -> float:
+    """Spectral norm (largest singular value)."""
+    return float(np.linalg.norm(m, 2))
+
+
+def sl_basis(n: int) -> np.ndarray:
+    """Orthonormal Frobenius basis of the traceless n x n matrices.
+
+    Layout: the n(n-1)/2 strictly lower elementary matrices first (the
+    side contracted by the inverse of an increasing ray), then the n-1
+    traceless diagonals, then the strictly upper elementary matrices.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    mats = []
+    for i in range(n):
+        for j in range(i):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            mats.append(e)
+    for k in range(1, n):
+        h = np.zeros((n, n))
+        for i in range(k):
+            h[i, i] = 1.0
+        h[k, k] = -float(k)
+        mats.append(h / math.sqrt(k * (k + 1)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            mats.append(e)
+    return np.stack(mats)
+
+
+def ad_operator(s: np.ndarray) -> np.ndarray:
+    """Matrix of X -> s X s^{-1} in the sl_basis ordering."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
+        raise ValueError(f"need a square matrix of size >= 2, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("matrix entries must be finite")
+    det = np.linalg.det(s)
+    if not np.isfinite(det) or abs(det) < 1e-300:
+        raise ValueError("matrix must be invertible")
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("matrix must be invertible") from exc
+    basis = sl_basis(s.shape[0])
+    conj = np.einsum("ij,ajk,kl->ail", s, basis, s_inv)
+    return np.tensordot(basis, conj, axes=([1, 2], [1, 2]))
+
+
+def diagonal_ad_norm(diag_entries: np.ndarray) -> float:
+    """Closed form |Ad(s)| for diagonal s: the largest entry ratio."""
+    d = np.abs(np.asarray(diag_entries, dtype=float))
+    if d.ndim != 1 or d.size < 2:
+        raise ValueError("need at least two diagonal entries")
+    if not np.all(d > 0.0):
+        raise ValueError("diagonal entries must be nonzero")
+    return float(d.max() / d.min())

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import ad_operator, diagonal_ad_norm, op_norm
 from thinpart.analysis import Box, ScalarField, sublevel_measure
 from thinpart.contraction import (
     AsymptoticParams,
@@ -28,11 +29,9 @@ from thinpart.harness.experiments import (
     sample_base_conjugator,
 )
 from thinpart.harness.report import render_report_json, render_samples_csv
-from thinpart.linalg import Subspace, haar_orthogonal, hadamard_bound, op_norm
+from thinpart.linalg import Subspace, haar_orthogonal, hadamard_bound
 from thinpart.rootdata import delta_lower_bound, group_constants
 from thinpart.slgroup import (
-    ad_operator,
-    diagonal_ad_norm,
     discreteness_radius,
     expanding_element,
     radius_params,

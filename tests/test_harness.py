@@ -13,6 +13,7 @@ from thinpart.harness.config import (
     load_config,
 )
 from thinpart.harness.experiments import (
+    _TAG_WALK,
     InsufficientDataError,
     WalkCapError,
     drift_parameters,
@@ -30,6 +31,12 @@ from thinpart.harness.report import (
     render_report_json,
     render_samples_csv,
     write_report,
+)
+from thinpart.slgroup import (
+    discreteness_radius,
+    expanding_element,
+    reduced_conjugator,
+    sample_mu_s,
 )
 
 _SMALL = ExperimentConfig(n_base_points=6, n_mc_samples=30, walk_length=300)
@@ -202,12 +209,57 @@ class TestRunners:
         lv = rep.summary["levels"][0]
         assert lv["fraction"] == pytest.approx(np.mean(np.array(radii) < lv["eps"]), abs=0.0)
 
-    def test_stationary_symmetrized_changes_trajectory(self):
-        plain = run_stationary_bound(_SMALL, p_hat=0.88)
-        mixed = run_stationary_bound(_SMALL, p_hat=0.88, symmetrized=True)
-        assert plain.summary["symmetrized"] is False
-        assert mixed.summary["symmetrized"] is True
-        assert any(a != b for a, b in zip(plain.samples, mixed.samples))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inverse_expanding_step_is_a_rotated_step(self, n):
+        # s^-1 = w s w^T for the signed reversal permutation w in SO(n), so
+        # k1 s^-1 k2 = (k1 w) s (w^T k2) is again a mu_s draw: the walk
+        # law is symmetric without a separate inverse step
+        sp = expanding_element(n, 55.0, math.exp(-1.0))
+        w = np.fliplr(np.eye(n))
+        if np.linalg.det(w) < 0:
+            w[0] = -w[0]
+        assert np.linalg.det(w) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(w @ w.T, np.eye(n))
+        got = w @ sp.s_lambda @ w.T
+        want = np.linalg.inv(sp.s_lambda)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_walk_step_is_a_mu_s_draw(self):
+        # the walk is g_t = reduced_conjugator(sample_mu_s(sp, rng_t) @ g_{t-1})
+        # on the walk stream; every radius of the report is recomputed
+        sp, rp = derive_group(_SMALL)
+        rep = run_stationary_bound(_SMALL, p_hat=0.88)
+        g = np.eye(_SMALL.group_n)
+        radii = []
+        for t in range(1, _SMALL.walk_length + 1):
+            rng = np.random.default_rng([_SMALL.seed, _TAG_WALK, t])
+            g = reduced_conjugator(sample_mu_s(sp, rng) @ g)
+            radii.append(discreteness_radius(g, rp))
+        assert [(t, r) for t, r, _ in rep.samples] == list(enumerate(radii, start=1))
+        assert any(r < rp.rho for r in radii)  # not only the ceiling
+
+    @pytest.mark.parametrize("experiment, runner, columns", [
+        ("key-inequality", run_key_inequality,
+         ["sample_index", "base_index", "i_sample", "f_sample", "i_base", "f_base"]),
+        ("stationary-bound", run_stationary_bound, ["step", "i_value", "retained"]),
+        ("integrability", run_integrability, ["step", "i_value", "f_value", "running_mean"]),
+    ], ids=["key-inequality", "stationary-bound", "integrability"])
+    def test_balance_failure_report(self, tmp_path, experiment, runner, columns):
+        # p_hat = 0.5 is far below the balance threshold p* ~ 0.85
+        rep = runner(_SMALL, p_hat=0.5)
+        assert rep.experiment == experiment
+        assert rep.samples == []
+        assert list(rep.columns) == columns
+        assert rep.summary["balance_failed"]
+        assert rep.summary["p_hat_source"] == "supplied"
+        assert [(v.check, v.passed) for v in rep.verdicts] == [("drift-balance", False)]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_SMALL.to_json_dict()))
+        code = cli_main([
+            experiment, "--config", str(cfg_path), "--p-hat", "0.5",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
 
     def test_integrability_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

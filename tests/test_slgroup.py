@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lattice_candidates
+from oracles import ad_operator, diagonal_ad_norm, lattice_candidates, op_norm, sl_basis
 from thinpart import slgroup
 from thinpart.harness.experiments import sample_base_conjugator
-from thinpart.linalg import LogDomainError, frobenius, haar_orthogonal, mat_log, op_norm
+from thinpart.linalg import LogDomainError, frobenius, haar_orthogonal, mat_log
 from thinpart.slgroup import (
     DEFAULT_ENTRY_CAP,
     DegenerateRayError,
@@ -19,15 +19,12 @@ from thinpart.slgroup import (
     _ball_points,
     _int_det,
     _lll_reduce,
-    ad_operator,
     candidate_entry_bound,
-    diagonal_ad_norm,
     discreteness_radius,
     expanding_element,
     radius_params,
     reduced_conjugator,
     sample_mu_s,
-    sl_basis,
 )
 
 E = math.e
@@ -104,6 +101,22 @@ class TestExpandingElement:
             except DegenerateRayError:
                 continue
             assert sp.ad_norm <= lam ** (n - 1) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_forms_match_adjoint_operator(self, n):
+        # the spectral norms of the explicit adjoint matrices, on all of
+        # sl(n) and on the strictly lower block for the inverse
+        dim_u = n * (n - 1) // 2
+        for lam in (3.0, 10.0, 55.0, 400.0):
+            try:
+                sp = expanding_element(n, lam, math.exp(-1.0))
+            except DegenerateRayError:
+                continue
+            numeric = op_norm(ad_operator(sp.s_lambda))
+            assert abs(numeric - sp.ad_norm) <= 1e-8 * sp.ad_norm
+            inv_block = ad_operator(np.linalg.inv(sp.s_lambda))[:dim_u, :dim_u]
+            numeric_inv = op_norm(inv_block)
+            assert abs(numeric_inv - sp.ad_inv_norm_on_uminus) <= 1e-8 * sp.ad_inv_norm_on_uminus
 
     def test_scale_below_one_step(self):
         with pytest.raises(DegenerateRayError):
