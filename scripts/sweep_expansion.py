@@ -10,6 +10,7 @@ measured curve clears the threshold with margin; the shipped default
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     print(f"{'lambda':>8} {'p_hat':>8} {'band':>8} {'p_star':>8} {'margin':>8}")
     worst = math.inf
     for lam in args.lambdas:
-        cfg = base.replace(lambda_=lam)
+        cfg = dataclasses.replace(base, lambda_=lam)
         p_star = (ht * math.log(lam)) / (ht * math.log(lam) + math.log(cfg.a1))
         try:
             rep = run_expansion_probability(cfg)

@@ -91,20 +91,16 @@ class ContractionParams:
             raise ValueError("offset b must be positive")
 
 
-def contraction_constants(
-    a1: float, a2: float, p: float, rho0: float, delta_factor: float = 1.0
-) -> ContractionParams:
-    """Evaluate the drift pair (c, b) at delta_factor times the optimal exponent.
+def contraction_constants(a1: float, a2: float, p: float, rho0: float) -> ContractionParams:
+    """Evaluate the drift pair (c, b) at the optimal exponent delta_opt.
 
     c = phi(delta) and b = (a2 rho0)^-delta; the offset covers points whose
     radius already exceeds rho0, where one step keeps it above a2 rho0.
-    Away from delta_factor = 1 the pair may fail the c < 1 validation.
+    Raises BalanceError when p is too small for c < 1.
     """
     if not rho0 > 0:
         raise ValueError("rho0 must be positive")
-    if not delta_factor > 0:
-        raise ValueError("delta_factor must be positive")
-    delta = delta_opt(a1, a2, p) * delta_factor
+    delta = delta_opt(a1, a2, p)
     return ContractionParams(
         a1=a1,
         a2=a2,

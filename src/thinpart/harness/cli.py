@@ -10,6 +10,7 @@ could not finish.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,15 +28,18 @@ from .experiments import (
 from .report import write_report
 
 _RUNNERS = {
-    "constants": (run_constants, ()),
-    "expansion-prob": (run_expansion_probability, ()),
-    "key-inequality": (run_key_inequality, ("p_hat", "delta_factor")),
-    "stationary-bound": (run_stationary_bound, ("p_hat",)),
-    "integrability": (run_integrability, ("p_hat", "exponent_factor")),
-    "evanescence": (run_evanescence, ()),
-    "goodfn": (run_goodfn, ()),
-    "grassmann": (run_grassmann, ()),
+    "constants": run_constants,
+    "expansion-prob": run_expansion_probability,
+    "key-inequality": run_key_inequality,
+    "stationary-bound": run_stationary_bound,
+    "integrability": run_integrability,
+    "evanescence": run_evanescence,
+    "goodfn": run_goodfn,
+    "grassmann": run_grassmann,
 }
+
+# Runners that take a p_hat (None: estimate it) through --p-hat.
+_TAKES_P_HAT = {"key-inequality", "stationary-bound", "integrability"}
 
 # Stages of `pipeline`, in order; expansion-prob's p_hat feeds the later ones.
 _PIPELINE = (
@@ -61,24 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="discreteness-radius experiments on conjugated lattices",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="experiment")
-    for name, (runner, extras) in _RUNNERS.items():
+    for name, runner in _RUNNERS.items():
         doc = (runner.__doc__ or "").strip().splitlines()[0].rstrip(".")
         p = sub.add_parser(name, help=doc)
         _add_run_flags(p, name)
-        if "p_hat" in extras:
+        if name in _TAKES_P_HAT:
             p.add_argument(
                 "--p-hat", type=float, dest="p_hat", metavar="P",
                 help="expansion probability from a previous run; estimated when absent",
-            )
-        if "delta_factor" in extras:
-            p.add_argument(
-                "--delta-factor", type=float, dest="delta_factor", default=1.0,
-                metavar="F", help="scale the exponent away from its optimum",
-            )
-        if "exponent_factor" in extras:
-            p.add_argument(
-                "--exponent-factor", type=float, dest="exponent_factor", default=1.0,
-                metavar="F", help="scale the moment exponent; no verdicts away from 1",
             )
     _add_run_flags(
         sub.add_parser(
@@ -97,8 +91,6 @@ def _write_and_print(report, out_dir: Path, prefix: str = "") -> bool:
         mark = "PASS" if v.passed else "FAIL"
         margin = "margin n/a" if v.margin is None else f"margin {v.margin:+.6g}"
         print(f"{prefix}[{mark}] {v.check} ({margin})")
-    if not report.verdicts:
-        print(f"{prefix}(diagnostic run, no verdicts)")
     print(f"{prefix}report: {json_path}")
     print(f"{prefix}samples: {csv_path}")
     return report.all_passed()
@@ -109,8 +101,8 @@ def _run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> bool:
     p_hat = None
     passed = True
     for name in _PIPELINE:
-        runner, extras = _RUNNERS[name]
-        report = runner(cfg, **({"p_hat": p_hat} if "p_hat" in extras else {}))
+        runner = _RUNNERS[name]
+        report = runner(cfg, p_hat) if name in _TAKES_P_HAT else runner(cfg)
         passed = _write_and_print(report, out_dir / name, f"{name}: ") and passed
         if name == "expansion-prob":
             p_hat = report.summary["p_hat"]
@@ -129,12 +121,12 @@ def main(argv=None) -> int:
         if args.workers is not None:
             overrides["workers"] = args.workers
         if overrides:
-            cfg = cfg.replace(**overrides)
+            cfg = dataclasses.replace(cfg, **overrides)
         if args.command == "pipeline":
             passed = _run_pipeline(cfg, out_dir)
         else:
-            runner, extras = _RUNNERS[args.command]
-            report = runner(cfg, **{name: getattr(args, name) for name in extras})
+            runner = _RUNNERS[args.command]
+            report = runner(cfg, args.p_hat) if args.command in _TAKES_P_HAT else runner(cfg)
             passed = _write_and_print(report, out_dir)
     except (ConfigError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from ..slgroup import (
     DegenerateRayError,
@@ -72,10 +72,6 @@ class ExperimentConfig:
                 value = list(value)
             out[_JSON_NAMES.get(f.name, f.name)] = value
         return out
-
-    def replace(self, **updates) -> "ExperimentConfig":
-        """dataclasses.replace; __post_init__ validates the new config."""
-        return replace(self, **updates)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -4,7 +4,7 @@ Each runner takes an ExperimentConfig and returns an ExperimentReport.
 All randomness flows through generators seeded as (seed, stream tag,
 sample index), so a report is byte-identical for a fixed seed and its
 summary does not depend on the worker count: the pool only decides who
-evaluates a sample, never which generator the sample uses.
+evaluates a base and its samples, never which generator they use.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -136,23 +137,19 @@ def sample_base_conjugator(
 
 
 def drift_parameters(
-    cfg: ExperimentConfig,
-    rp: RadiusParams,
-    p_hat: float,
-    delta_factor: float = 1.0,
+    cfg: ExperimentConfig, rp: RadiusParams, p_hat: float
 ) -> ContractionParams:
     """Drift constants for the measured expansion probability.
 
     The modeled one-step contraction is a2 = lambda^-ht (the worst the
     expanding element can do on the lattice side), the expansion is the
-    configured a1, and rho0 is the thin cut.  delta_factor scales the
-    exponent away from its optimum; the resulting parameters may then
-    fail the c < 1 validation, which is the point of the knob.
+    configured a1, rho0 is the thin cut, and the exponent is the optimal
+    delta; BalanceError when the pair misses c < 1.
     """
     if not 0 < p_hat < 1:
         raise BalanceError(f"expansion probability {p_hat} is degenerate")
     a2 = cfg.lambda_ ** (-float(group_constants(cfg.group_n).ht_sum))
-    return contraction_constants(cfg.a1, a2, p_hat, rp.rho * _THIN_CUT, delta_factor)
+    return contraction_constants(cfg.a1, a2, p_hat, rp.rho * _THIN_CUT)
 
 
 def _pool_map(fn, tasks, workers: int) -> list:
@@ -178,37 +175,22 @@ def _report(experiment, cfg, columns, samples, summary, verdicts) -> ExperimentR
 # expansion probability
 
 
-def _thin_base_task(task):
-    seed, index, n, rp = task
+def _expansion_base_task(seed, sp, rp, per_model, index):
+    """The first thin draw of base `index` and its per_model rotation pairs;
+    rows None when no draw is thin within _BASE_TRIES."""
     rng = _rng(seed, _TAG_BASE, index)
     for tries in range(1, _BASE_TRIES + 1):
-        g = sample_base_conjugator(n, rng)
-        radius = model_radius(g, rp)
-        if radius <= rp.rho * _THIN_CUT:
-            return index, g, radius, tries
-    return index, None, None, _BASE_TRIES
-
-
-def _orientation_task(task):
-    seed, idx, base_index, sp, rp, g = task
-    rng = _rng(seed, _TAG_ORIENT, idx)
-    rotated = haar_orthogonal(sp.n, rng) @ g
-    i_rot = model_radius(rotated, rp)
-    i_exp = model_radius(sp.s_lambda @ rotated, rp)
-    return idx, base_index, i_rot, i_exp
-
-
-def _thin_bases(cfg: ExperimentConfig, rp: RadiusParams) -> list:
-    tasks = [(cfg.seed, b, cfg.group_n, rp) for b in range(cfg.n_base_points)]
-    results = _pool_map(_thin_base_task, tasks, cfg.workers)
-    failed = [r[0] for r in results if r[1] is None]
-    if failed:
-        raise ConfigError(
-            f"{len(failed)} base draws found no conjugator below rho/2 in "
-            f"{_BASE_TRIES} tries each (first indices {failed[:5]}); widen "
-            f"the conditioning window"
-        )
-    return results
+        g = sample_base_conjugator(sp.n, rng)
+        if model_radius(g, rp) <= rp.rho * _THIN_CUT:
+            break
+    else:
+        return None, tries
+    rows = []
+    for idx in range(index * per_model, (index + 1) * per_model):
+        rotated = haar_orthogonal(sp.n, _rng(seed, _TAG_ORIENT, idx)) @ g
+        rows.append((idx, index, model_radius(rotated, rp),
+                     model_radius(sp.s_lambda @ rotated, rp)))
+    return rows, tries
 
 
 def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
@@ -221,13 +203,17 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
     or not, which is the deterministic half of the two-point model.
     """
     sp, rp = derive_group(cfg)
-    bases = _thin_bases(cfg, rp)
     per_model = max(1, cfg.n_mc_samples // 10)
-    tasks = []
-    for index, g, _, _ in bases:
-        for j in range(per_model):
-            tasks.append((cfg.seed, index * per_model + j, index, sp, rp, g))
-    rows = _pool_map(_orientation_task, tasks, cfg.workers)
+    task = partial(_expansion_base_task, cfg.seed, sp, rp, per_model)
+    bases = _pool_map(task, range(cfg.n_base_points), cfg.workers)
+    failed = [index for index, (rows, _) in enumerate(bases) if rows is None]
+    if failed:
+        raise ConfigError(
+            f"{len(failed)} base draws found no conjugator below rho/2 in "
+            f"{_BASE_TRIES} tries each (first indices {failed[:5]}); widen "
+            f"the conditioning window"
+        )
+    rows = [row for base_rows, _ in bases for row in base_rows]
 
     i_rot = np.array([r[2] for r in rows])
     i_exp = np.array([r[3] for r in rows])
@@ -237,9 +223,7 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
     band = _SIGMAS * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_pairs)
     floor_fraction = float(np.mean(i_exp >= i_rot / sp.ad_norm * (1.0 - 1e-9)))
 
-    samples = [
-        (int(r[0]), int(r[1]), r[2], r[3], bool(f)) for r, f in zip(rows, flags)
-    ]
+    samples = [(*r, bool(f)) for r, f in zip(rows, flags)]
     summary = {
         "n_pairs": n_pairs,
         "per_model": per_model,
@@ -250,7 +234,7 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
         "rho": rp.rho,
         "thin_cut": rp.rho * _THIN_CUT,
         "ad_norm": sp.ad_norm,
-        "base_tries_max": max(r[3] for r in bases),
+        "base_tries_max": max(tries for _, tries in bases),
     }
     verdicts = [
         Verdict("p-hat-interior", 0.0 < p_hat < 1.0, min(p_hat, 1.0 - p_hat)),
@@ -265,7 +249,7 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
 # key inequality, and the drift set-up it shares with the walk runners
 
 
-def _drift_setup(experiment, cfg, columns, p_hat, delta_factor=1.0, extra=None):
+def _drift_setup(experiment, cfg, columns, p_hat):
     """Group, p_hat and drift constants shared by the three drift runners.
 
     Returns (sp, rp, cp, p_hat, source), or the finished report of a
@@ -280,7 +264,7 @@ def _drift_setup(experiment, cfg, columns, p_hat, delta_factor=1.0, extra=None):
         if not 0.0 <= p_val <= 1.0:
             raise ConfigError(f"supplied p_hat {p_val} is not a probability")
     try:
-        cp = drift_parameters(cfg, rp, p_val, delta_factor)
+        cp = drift_parameters(cfg, rp, p_val)
     except BalanceError as exc:
         summary = {
             "p_hat": p_val,
@@ -288,33 +272,27 @@ def _drift_setup(experiment, cfg, columns, p_hat, delta_factor=1.0, extra=None):
             "balance_failed": True,
             "detail": str(exc),
             "advice": "increase lambda until the expansion term dominates",
-            **(extra or {}),
         }
         verdicts = [Verdict("drift-balance", False, None)]
         return _report(experiment, cfg, columns, [], summary, verdicts)
     return sp, rp, cp, p_val, source
 
 
-def _drift_base_task(task):
-    seed, index, n, rp = task
-    rng = _rng(seed, _TAG_DRIFT_BASE, index)
-    g = sample_base_conjugator(n, rng)
-    return index, g, model_radius(g, rp)
-
-
-def _drift_sample_task(task):
-    seed, idx, base_index, sp, rp, g, delta = task
-    rng = _rng(seed, _TAG_DRIFT, idx)
-    radius = model_radius(sample_mu_s(sp, rng) @ g, rp)
-    return idx, base_index, radius, radius ** (-delta)
+def _drift_base_task(seed, sp, rp, delta, m, index):
+    """Base `index` (no thin filter), its radius, and its m drift steps as
+    (sample index, radius, radius^-delta)."""
+    g = sample_base_conjugator(sp.n, _rng(seed, _TAG_DRIFT_BASE, index))
+    rows = []
+    for idx in range(index * m, (index + 1) * m):
+        radius = model_radius(sample_mu_s(sp, _rng(seed, _TAG_DRIFT, idx)) @ g, rp)
+        rows.append((idx, radius, radius ** (-delta)))
+    return model_radius(g, rp), rows
 
 
 _KEY_COLUMNS = ("sample_index", "base_index", "i_sample", "f_sample", "i_base", "f_base")
 
 
-def run_key_inequality(
-    cfg: ExperimentConfig, p_hat=None, delta_factor: float = 1.0
-) -> ExperimentReport:
+def run_key_inequality(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
     """Test the one-step drift E[radius^-delta] <= c radius^-delta + b.
 
     Base models are drawn without any thinness filter (the inequality is
@@ -322,25 +300,17 @@ def run_key_inequality(
     per-base sample mean minus a 3-sigma allowance is compared against the
     drift line.  The verdict asks for at least 95% of bases to pass.
     """
-    setup = _drift_setup(
-        "key-inequality", cfg, _KEY_COLUMNS, p_hat, delta_factor,
-        extra={"delta_factor": delta_factor},
-    )
+    setup = _drift_setup("key-inequality", cfg, _KEY_COLUMNS, p_hat)
     if isinstance(setup, ExperimentReport):
         return setup
     sp, rp, cp, p_val, source = setup
 
-    base_tasks = [(cfg.seed, b, cfg.group_n, rp) for b in range(cfg.n_base_points)]
-    bases = _pool_map(_drift_base_task, base_tasks, cfg.workers)
     m = cfg.n_mc_samples
-    tasks = []
-    for index, g, _ in bases:
-        for j in range(m):
-            tasks.append((cfg.seed, index * m + j, index, sp, rp, g, cp.delta))
-    rows = _pool_map(_drift_sample_task, tasks, cfg.workers)
+    task = partial(_drift_base_task, cfg.seed, sp, rp, cp.delta, m)
+    bases = _pool_map(task, range(cfg.n_base_points), cfg.workers)
 
-    f_vals = np.array([r[3] for r in rows]).reshape(len(bases), m)
-    i_base = np.array([r[2] for r in bases])
+    f_vals = np.array([[r[2] for r in rows] for _, rows in bases])
+    i_base = np.array([radius for radius, _ in bases])
     f_base = i_base ** (-cp.delta)
     means = f_vals.mean(axis=1)
     sems = np.zeros(len(bases)) if m < 2 else f_vals.std(axis=1, ddof=1) / math.sqrt(m)
@@ -349,17 +319,17 @@ def run_key_inequality(
     passed = margins >= 0.0
     pass_fraction = float(np.mean(passed))
 
-    samples = []
-    for r in rows:
-        b = r[1]
-        samples.append((int(r[0]), int(b), r[2], r[3], float(i_base[b]), float(f_base[b])))
+    samples = [
+        (idx, b, radius, f, float(i_base[b]), float(f_base[b]))
+        for b, (_, rows) in enumerate(bases)
+        for idx, radius, f in rows
+    ]
     summary = {
         "p_hat": p_val,
         "p_hat_source": source,
         "a1": cp.a1,
         "a2": cp.a2,
         "delta": cp.delta,
-        "delta_factor": delta_factor,
         "c": cp.c,
         "b": cp.b,
         "rho0": cp.rho0,
@@ -487,26 +457,17 @@ _INTEGRABILITY_COLUMNS = ("step", "i_value", "f_value", "running_mean")
 _CHECKPOINTS = 20
 
 
-def run_integrability(
-    cfg: ExperimentConfig, p_hat=None, exponent_factor: float = 1.0
-) -> ExperimentReport:
+def run_integrability(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
     """Watch the running mean of radius^-(delta/2) stabilize along the walk.
 
     The halved exponent is the one whose stationary moment the drift pair
-    makes finite with room to spare.  exponent_factor is a diagnostic knob;
-    runs away from 1.0 carry no verdicts, since at large factors the mean
-    is expected to wander.
+    makes finite with room to spare.
     """
-    if not exponent_factor > 0:
-        raise ConfigError("exponent_factor must be positive")
-    setup = _drift_setup(
-        "integrability", cfg, _INTEGRABILITY_COLUMNS, p_hat,
-        extra={"exponent_factor": exponent_factor},
-    )
+    setup = _drift_setup("integrability", cfg, _INTEGRABILITY_COLUMNS, p_hat)
     if isinstance(setup, ExperimentReport):
         return setup
     sp, rp, cp, p_val, source = setup
-    exponent = 0.5 * cp.delta * exponent_factor
+    exponent = 0.5 * cp.delta
 
     _, kept, burn, incidents = _walk(cfg, sp, rp, min_kept=_CHECKPOINTS)
     f_vals = np.array([r for _, r in kept]) ** (-exponent)
@@ -528,7 +489,6 @@ def run_integrability(
         "p_hat_source": source,
         "delta": cp.delta,
         "exponent": exponent,
-        "exponent_factor": exponent_factor,
         "burn_in": burn,
         "retained": len(kept),
         "cap_incidents": incidents,
@@ -536,9 +496,7 @@ def run_integrability(
         "tail_variation": variation,
         "stable": stable,
     }
-    verdicts = []
-    if exponent_factor == 1.0:
-        verdicts.append(Verdict("running-mean-stable", stable, 0.10 - variation))
+    verdicts = [Verdict("running-mean-stable", stable, 0.10 - variation)]
     return _report("integrability", cfg, _INTEGRABILITY_COLUMNS, samples, summary, verdicts)
 
 

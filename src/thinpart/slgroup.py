@@ -298,8 +298,6 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     lattice = np.kron(g, g_inv.T)
     reduced, transform = _lll_reduce(lattice)
     rmat = np.linalg.qr(reduced, mode="r")
-    signs = np.sign(np.diag(rmat))
-    rmat = rmat * signs[:, None]
     radius = rp.rho * math.exp(rp.rho) * (1.0 + 1e-9) + 1e-12
     best = None
     eye = np.eye(n, dtype=np.int64)

@@ -2,6 +2,7 @@
 budget.  The heavy Monte Carlo reports are computed once in module-scoped
 fixtures and shared; everything else runs inline."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -273,7 +274,7 @@ def test_criterion_12_determinism(cfg, p_hat, key_report, stationary_report):
     stationary_again = run_stationary_bound(cfg, p_hat=p_hat)
     assert render_report_json(stationary_again) == render_report_json(stationary_first)
     assert render_samples_csv(stationary_again) == render_samples_csv(stationary_first)
-    wide = cfg.replace(workers=2)
+    wide = dataclasses.replace(cfg, workers=2)
     key_wide = run_key_inequality(wide, p_hat=p_hat)
     assert key_wide.summary == key_first.summary
     assert key_wide.samples == key_first.samples

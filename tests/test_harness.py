@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -81,9 +82,9 @@ class TestConfig:
 
     def test_replace_revalidates(self):
         cfg = ExperimentConfig()
-        assert cfg.replace(seed=5).seed == 5
+        assert dataclasses.replace(cfg, seed=5).seed == 5
         with pytest.raises(ConfigError):
-            cfg.replace(walk_length=0)
+            dataclasses.replace(cfg, walk_length=0)
 
 
 class TestReport:
@@ -171,14 +172,6 @@ class TestRunners:
         for row in rep.samples[:10]:
             assert row[3] == pytest.approx(row[2] ** -rep.summary["delta"], rel=1e-12)
 
-    def test_key_inequality_balance_failure_report(self):
-        rep = run_key_inequality(_SMALL, p_hat=0.88, delta_factor=10.0)
-        assert not rep.all_passed()
-        assert rep.summary["balance_failed"]
-        assert "lambda" in rep.summary["advice"]
-        assert rep.samples == []
-        assert [v.check for v in rep.verdicts] == ["drift-balance"]
-
     def test_key_inequality_estimated_p_hat(self):
         rep = run_key_inequality(_SMALL)
         assert rep.summary["p_hat_source"] == "estimated"
@@ -252,6 +245,7 @@ class TestRunners:
         assert list(rep.columns) == columns
         assert rep.summary["balance_failed"]
         assert rep.summary["p_hat_source"] == "supplied"
+        assert "lambda" in rep.summary["advice"]
         assert [(v.check, v.passed) for v in rep.verdicts] == [("drift-balance", False)]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_SMALL.to_json_dict()))
@@ -263,12 +257,7 @@ class TestRunners:
 
     def test_integrability_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            run_integrability(_SMALL.replace(walk_length=1), p_hat=0.88)
-
-    def test_integrability_diagnostic_run_has_no_verdicts(self):
-        rep = run_integrability(_SMALL, p_hat=0.88, exponent_factor=3.0)
-        assert rep.verdicts == []
-        assert rep.all_passed()
+            run_integrability(dataclasses.replace(_SMALL, walk_length=1), p_hat=0.88)
 
     def test_integrability_walk_matches_stationary_walk(self):
         # both experiments deliberately share the walk stream
@@ -299,13 +288,13 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_summaries(self):
         one = run_expansion_probability(_SMALL)
-        two = run_expansion_probability(_SMALL.replace(workers=2))
+        two = run_expansion_probability(dataclasses.replace(_SMALL, workers=2))
         assert one.summary == two.summary
         assert one.samples == two.samples
 
     def test_seed_changes_samples(self):
         base = run_expansion_probability(_SMALL)
-        moved = run_expansion_probability(_SMALL.replace(seed=1))
+        moved = run_expansion_probability(dataclasses.replace(_SMALL, seed=1))
         assert base.samples != moved.samples
 
 
@@ -322,7 +311,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(_SMALL.to_json_dict()))
         code = cli_main([
             "key-inequality", "--config", str(cfg_path),
-            "--p-hat", "0.88", "--delta-factor", "10",
+            "--p-hat", "0.5",
             "--out", str(tmp_path / "k"),
         ])
         assert code == 2

@@ -208,13 +208,25 @@ class TestLatticeReduction:
         first = float(np.linalg.norm(reduced[:, 0]))
         assert first <= 2.0 ** ((d - 1) / 2.0) * min_col * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize("case", range(20))
-    def test_ball_enumeration_matches_brute_force(self, case):
+    @pytest.mark.parametrize(
+        "case, signed",
+        [(c, False) for c in range(20)] + [(c, True) for c in range(20)],
+        ids=[str(c) for c in range(20)] + [f"signed-{c}" for c in range(20)],
+    )
+    def test_ball_enumeration_matches_brute_force(self, case, signed):
+        # signed cases flip rows so some diagonal entries are negative, as
+        # QR returns them; the points and their order must not change
         rng = np.random.default_rng([36, case])
         d = int(rng.integers(2, 5))
         rmat = np.triu(rng.uniform(-1.0, 1.0, size=(d, d)))
         rmat[np.diag_indices(d)] = rng.uniform(0.4, 1.2, size=d)
         radius = float(rng.uniform(0.8, 2.0))
+        if signed:
+            signs = rng.choice([-1.0, 1.0], size=d)
+            signs[rng.integers(d)] = -1.0
+            positive = [tuple(y) for y in _ball_points(rmat, radius)]
+            rmat = rmat * signs[:, None]
+            assert [tuple(y) for y in _ball_points(rmat, radius)] == positive
         got = {tuple(int(v) for v in y) for y in _ball_points(rmat, radius)}
         span = int(math.ceil(radius / np.linalg.svd(rmat, compute_uv=False)[-1]))
         brute = set()
