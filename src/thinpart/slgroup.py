@@ -182,75 +182,113 @@ def _int_det(mat: np.ndarray) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _gram_data(b: np.ndarray):
-    rr = np.linalg.qr(b, mode="r")
-    diag = np.diag(rr).copy()
-    mu = (rr / diag[:, None]).T
-    return mu, diag * diag
+# Lovasz constant of the LLL exchange test.
+_LLL_DELTA = 0.75
 
 
-def _lll_reduce(basis: np.ndarray, delta: float = 0.75):
+def _lll_reduce(basis: np.ndarray):
     """Column LLL reduction in floating point.
 
     Returns (reduced, u) with reduced = basis @ u and u integer of
-    determinant +-1.  Reduction quality only affects the enumeration
-    speed downstream, never its completeness, so float round-off in the
-    swap decisions is harmless; an iteration cap backstops termination.
+    determinant +-1.  One QR gives the initial Gram-Schmidt coefficients
+    mu and squared lengths |b*|^2; size reductions and swaps then update
+    both in place (swap formulas of Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 2.6.3).  Reduction quality only
+    affects the enumeration speed downstream, never its completeness, so
+    float round-off in the swap decisions is harmless; an iteration cap
+    backstops termination.
     """
-    b = np.array(basis, dtype=float)
-    d = b.shape[1]
-    u = np.eye(d, dtype=np.int64)
-    mu, star = _gram_data(b)
+    b0 = np.array(basis, dtype=float)
+    d = b0.shape[1]
+    r = np.linalg.qr(b0, mode="r").tolist()
+    mu = [[r[j][i] / r[j][j] for j in range(i)] for i in range(d)]
+    star = [r[j][j] * r[j][j] for j in range(d)]
+    # b and u hold the columns
+    b = b0.T.tolist()
+    u = [[int(i == j) for i in range(d)] for j in range(d)]
     k = 1
     steps = 0
     max_steps = 64 * d * d
     while k < d and steps < max_steps:
         steps += 1
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mk[j])
             if q:
-                b[:, k] -= q * b[:, j]
-                u[:, k] -= q * u[:, j]
-                mu[k, j] -= q
-                mu[k, :j] -= q * mu[j, :j]
-        if star[k] >= (delta - mu[k, k - 1] ** 2) * star[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                mk[j] -= q
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+        m = mk[k - 1]
+        if star[k] >= (_LLL_DELTA - m * m) * star[k - 1]:
             k += 1
-        else:
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            mu, star = _gram_data(b)
-            k = max(k - 1, 1)
-    return b, u
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        u[k - 1], u[k] = u[k], u[k - 1]
+        big = star[k] + m * m * star[k - 1]
+        m_new = m * star[k - 1] / big
+        star[k] = star[k - 1] * star[k] / big
+        star[k - 1] = big
+        mu[k - 1], mu[k] = mk[: k - 1], mu[k - 1] + [m_new]
+        for i in range(k + 1, d):
+            mi = mu[i]
+            t = mi[k]
+            mi[k] = mi[k - 1] - m * t
+            mi[k - 1] = t + m_new * mi[k]
+        k = max(k - 1, 1)
+    return np.array(b).T, np.array(u, dtype=np.int64).T
 
 
-def _ball_points(rmat: np.ndarray, radius: float):
-    """Nonzero integer vectors y with |rmat y| <= radius, rmat upper
-    triangular with nonzero diagonal.  Depth-first interval search; the
-    radii used here are far below the covolume so the tree stays tiny.
+def _padded_radius(r: float) -> float:
+    # |X|_F <= r gives |e^X - I|_F <= r e^r; the inflation covers the
+    # round-off of the triangular search
+    return r * math.exp(r) * (1.0 + 1e-9) + 1e-12
+
+
+def _search_ball(rmat: np.ndarray, radius: float, confirm) -> None:
+    """Hand every nonzero integer vector y with |rmat y| <= radius to
+    confirm, as a tuple of ints; rmat is upper triangular with nonzero
+    diagonal.
+
+    Depth-first search from the last coordinate down.  Each level visits
+    integers in order of their distance from the level's centre
+    (Schnorr & Euchner 1994) and stops at the first one outside the
+    ball: a coordinate's contribution grows with that distance.  When
+    confirm(y) returns a radius below the current one, the ball shrinks
+    to it for the rest of the search.
     """
-    d = rmat.shape[0]
-    y = np.zeros(d, dtype=np.int64)
+    r = rmat.tolist()
+    d = len(r)
+    y = [0] * d
+    limit = radius * radius + 1e-12
 
-    def descend(i: int, rem2: float, partial: np.ndarray):
-        rii = rmat[i, i]
-        center = -partial[i] / rii
-        width = math.sqrt(max(rem2, 0.0)) / abs(rii)
-        lo = math.ceil(center - width)
-        hi = math.floor(center + width)
-        for yi in range(lo, hi + 1):
-            contrib = rii * yi + partial[i]
-            rem2_next = rem2 - contrib * contrib
-            if rem2_next < -1e-12:
-                continue
+    def descend(i: int, used: float, partial: list) -> None:
+        nonlocal limit
+        rii = r[i][i]
+        p = partial[i]
+        center = -p / rii
+        base = round(center)
+        step = 1 if center >= base else -1
+        offset = 0
+        while True:
+            yi = base + step * offset
+            contrib = rii * yi + p
+            total = used + contrib * contrib
+            if total > limit:
+                break
             y[i] = yi
-            if i == 0:
-                if y.any():
-                    yield y.copy()
-            else:
-                yield from descend(i - 1, max(rem2_next, 0.0), partial + rmat[:, i] * yi)
+            if i:
+                descend(i - 1, total, [partial[t] + r[t][i] * yi for t in range(i)])
+            elif any(y):
+                shrunk = confirm(tuple(y))
+                if shrunk is not None:
+                    limit = min(limit, shrunk * shrunk + 1e-12)
+            offset = -offset if offset > 0 else 1 - offset
         y[i] = 0
 
-    yield from descend(d - 1, radius * radius, np.zeros(d))
+    descend(d - 1, 0.0, [0.0] * d)
 
 
 def _conjugate_log_norm(g, g_inv, gamma, cap: float):
@@ -269,12 +307,16 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
 
     Search: gamma = I + C qualifies only if |g C g^{-1}|_F <= rho e^rho,
     i.e. the row-stacked vector of C is an integer point of the lattice
-    spanned by kron(g, g^{-T}) inside that ball.  The ball is enumerated
-    completely (LLL-reduced basis, then a triangular interval search), so
-    no qualifying element can be missed; a small inflation of the radius
-    covers enumeration round-off, and every hit is confirmed against the
-    exact log-norm afterwards.  Raises EnumerationCapError when the entry
-    window of candidate_entry_bound exceeds DEFAULT_ENTRY_CAP.
+    spanned by kron(g, g^{-T}) inside that ball.  The ball is searched
+    completely (LLL-reduced basis, then a triangular search), so no
+    qualifying element can be missed; a small inflation of the radius
+    covers search round-off, and every hit is confirmed against the exact
+    log-norm.  Each confirmed hit of log-norm v below the best so far
+    shrinks the ball to the padded v e^v: every element of log-norm at
+    most v still lies inside, so the minimiser is still found and the
+    result is the same as over the full ball.  Raises EnumerationCapError
+    when the entry window of candidate_entry_bound exceeds
+    DEFAULT_ENTRY_CAP.
     """
     if rp.rho > ZASSENHAUS_RADIUS:
         # The discard rule in _conjugate_log_norm needs rho e^rho < 1/2.
@@ -298,18 +340,22 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     lattice = np.kron(g, g_inv.T)
     reduced, transform = _lll_reduce(lattice)
     rmat = np.linalg.qr(reduced, mode="r")
-    radius = rp.rho * math.exp(rp.rho) * (1.0 + 1e-9) + 1e-12
-    best = None
+    best = rp.rho
     eye = np.eye(n, dtype=np.int64)
-    for y in _ball_points(rmat, radius):
-        c = transform @ y
-        gamma = eye + c.reshape(n, n)
+
+    def confirm(y):
+        nonlocal best
+        gamma = eye + (transform @ y).reshape(n, n)
         if _int_det(gamma) != 1:
-            continue
+            return None
         value = _conjugate_log_norm(g, g_inv, gamma, rp.rho)
-        if value is not None and (best is None or value < best):
-            best = value
-    return rp.rho if best is None else best
+        if value is None or value >= best:
+            return None
+        best = value
+        return _padded_radius(value)
+
+    _search_ball(rmat, _padded_radius(rp.rho), confirm)
+    return best
 
 
 def reduced_conjugator(g: np.ndarray) -> np.ndarray:
@@ -322,8 +368,7 @@ def reduced_conjugator(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     _, u = _lll_reduce(g)
-    if round(float(np.linalg.det(u.astype(float)))) == -1:
-        u = u.copy()
+    if _int_det(u) == -1:
         u[:, 0] = -u[:, 0]
     tight = g @ u
     q, r = np.linalg.qr(tight)

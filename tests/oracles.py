@@ -5,6 +5,9 @@ exhaustive integer windows for the discreteness radius, minors for wedge
 norms, explicit roots for the type-A constants, and the adjoint action
 as an explicit matrix on sl(n), whose spectral norm checks the closed-form
 Ad norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
+The radius kernel's two search layers also keep their plain forms here:
+an LLL that takes a fresh QR after every swap, and a full interval
+enumeration of the ball that never shrinks it.
 """
 
 import itertools
@@ -44,6 +47,71 @@ def lattice_candidates(conjugator: np.ndarray, r: float) -> list:
                     continue
                 out.append(np.array([[a, b], [c, d]], dtype=np.int64))
     return out
+
+
+def qr_lll_reduce(basis: np.ndarray):
+    """Column LLL reduction that recomputes the Gram-Schmidt data by a
+    full QR after every swap.  Same size-reduction order, exchange test
+    and step cap as the library's incremental version, so both return the
+    same transform unless round-off flips a decision.
+    """
+
+    def gram_data(b):
+        rr = np.linalg.qr(b, mode="r")
+        diag = np.diag(rr).copy()
+        return (rr / diag[:, None]).T, diag * diag
+
+    b = np.array(basis, dtype=float)
+    d = b.shape[1]
+    u = np.eye(d, dtype=np.int64)
+    mu, star = gram_data(b)
+    k = 1
+    steps = 0
+    while k < d and steps < 64 * d * d:
+        steps += 1
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q:
+                b[:, k] -= q * b[:, j]
+                u[:, k] -= q * u[:, j]
+                mu[k, j] -= q
+                mu[k, :j] -= q * mu[j, :j]
+        if star[k] >= (0.75 - mu[k, k - 1] ** 2) * star[k - 1]:
+            k += 1
+        else:
+            b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            u[:, [k - 1, k]] = u[:, [k, k - 1]]
+            mu, star = gram_data(b)
+            k = max(k - 1, 1)
+    return b, u
+
+
+def ball_points(rmat: np.ndarray, radius: float):
+    """Every nonzero integer vector y with |rmat y| <= radius, rmat upper
+    triangular with nonzero diagonal: a depth-first interval search over
+    the whole ball, last coordinate first.
+    """
+    d = rmat.shape[0]
+    y = np.zeros(d, dtype=np.int64)
+
+    def descend(i: int, rem2: float, partial: np.ndarray):
+        rii = rmat[i, i]
+        center = -partial[i] / rii
+        width = math.sqrt(max(rem2, 0.0)) / abs(rii)
+        for yi in range(math.ceil(center - width), math.floor(center + width) + 1):
+            contrib = rii * yi + partial[i]
+            rem2_next = rem2 - contrib * contrib
+            if rem2_next < -1e-12:
+                continue
+            y[i] = yi
+            if i == 0:
+                if y.any():
+                    yield y.copy()
+            else:
+                yield from descend(i - 1, max(rem2_next, 0.0), partial + rmat[:, i] * yi)
+        y[i] = 0
+
+    yield from descend(d - 1, radius * radius, np.zeros(d))
 
 
 def wedge_vector(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ad_operator, diagonal_ad_norm, lattice_candidates, op_norm, sl_basis
+from oracles import (
+    ad_operator,
+    ball_points,
+    diagonal_ad_norm,
+    lattice_candidates,
+    op_norm,
+    qr_lll_reduce,
+    sl_basis,
+)
 from thinpart import slgroup
 from thinpart.harness.experiments import sample_base_conjugator
 from thinpart.linalg import LogDomainError, frobenius, haar_orthogonal, mat_log
@@ -16,9 +25,10 @@ from thinpart.slgroup import (
     EnumerationCapError,
     RadiusParams,
     ZASSENHAUS_RADIUS,
-    _ball_points,
+    _conjugate_log_norm,
     _int_det,
     _lll_reduce,
+    _search_ball,
     candidate_entry_bound,
     discreteness_radius,
     expanding_element,
@@ -208,33 +218,104 @@ class TestLatticeReduction:
         first = float(np.linalg.norm(reduced[:, 0]))
         assert first <= 2.0 ** ((d - 1) / 2.0) * min_col * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize(
-        "case, signed",
-        [(c, False) for c in range(20)] + [(c, True) for c in range(20)],
-        ids=[str(c) for c in range(20)] + [f"signed-{c}" for c in range(20)],
-    )
-    def test_ball_enumeration_matches_brute_force(self, case, signed):
-        # signed cases flip rows so some diagonal entries are negative, as
-        # QR returns them; the points and their order must not change
+    @staticmethod
+    def _reduction_inputs():
+        # 2 x 2 bases, and the kron(g, g^-T) lattices the radius kernel
+        # reduces for base draws at n = 2 and n = 3 up to cond 1e4
+        for case in range(300):
+            rng = np.random.default_rng([42, case])
+            if case % 3 == 0:
+                yield rng.standard_normal((2, 2)) * np.exp(rng.uniform(-3.0, 3.0, size=2))
+            else:
+                g = sample_base_conjugator(case % 3 + 1, rng, cond_low=1.5, cond_high=1e4)
+                yield np.kron(g, np.linalg.inv(g).T)
+
+    def test_lll_matches_reference_transform(self):
+        # the in-place Gram-Schmidt updates take the same decisions as a
+        # fresh QR after every swap
+        for basis in self._reduction_inputs():
+            reduced, u = _lll_reduce(basis)
+            ref_reduced, ref_u = qr_lll_reduce(basis)
+            assert np.array_equal(u, ref_u)
+            assert np.array_equal(reduced, ref_reduced)
+
+    def test_lll_output_is_size_reduced_and_lovasz(self):
+        for basis in self._reduction_inputs():
+            reduced, _ = _lll_reduce(basis)
+            rr = np.linalg.qr(reduced, mode="r")
+            diag = np.diag(rr)
+            mu = rr / diag[:, None]  # mu[j, k] for j < k
+            star = diag * diag
+            for k in range(1, reduced.shape[1]):
+                assert np.abs(mu[:k, k]).max() <= 0.5 + 1e-9
+                lovasz = (0.75 - mu[k - 1, k] ** 2) * star[k - 1]
+                assert star[k] >= lovasz - 1e-9 * star[k - 1]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _ball_case(case):
+        # one brute force per case, shared by its plain, signed and shrink ids
         rng = np.random.default_rng([36, case])
         d = int(rng.integers(2, 5))
         rmat = np.triu(rng.uniform(-1.0, 1.0, size=(d, d)))
         rmat[np.diag_indices(d)] = rng.uniform(0.4, 1.2, size=d)
         radius = float(rng.uniform(0.8, 2.0))
-        if signed:
-            signs = rng.choice([-1.0, 1.0], size=d)
-            signs[rng.integers(d)] = -1.0
-            positive = [tuple(y) for y in _ball_points(rmat, radius)]
-            rmat = rmat * signs[:, None]
-            assert [tuple(y) for y in _ball_points(rmat, radius)] == positive
-        got = {tuple(int(v) for v in y) for y in _ball_points(rmat, radius)}
+        signs = rng.choice([-1.0, 1.0], size=d)
+        signs[rng.integers(d)] = -1.0
         span = int(math.ceil(radius / np.linalg.svd(rmat, compute_uv=False)[-1]))
         brute = set()
         for y in itertools.product(range(-span, span + 1), repeat=d):
             arr = np.array(y, dtype=float)
             if arr.any() and np.linalg.norm(rmat @ arr) <= radius:
                 brute.add(y)
-        assert got == brute
+        return rmat, radius, signs, brute
+
+    @staticmethod
+    def _visited(rmat, radius):
+        seen = []
+
+        def record(y):
+            seen.append(y)
+            return None
+
+        _search_ball(rmat, radius, record)
+        return seen
+
+    @pytest.mark.parametrize(
+        "case, mode",
+        [(c, m) for m in ("plain", "signed", "shrink") for c in range(20)],
+        ids=[f"{p}{c}" for p in ("", "signed-", "shrink-") for c in range(20)],
+    )
+    def test_ball_enumeration_matches_brute_force(self, case, mode):
+        # signed cases flip rows so some diagonal entries are negative, as
+        # QR returns them; the points and their order must not change.
+        # shrink cases let confirm cut the ball to each point shorter than
+        # the current radius: every later point lies inside the cut ball,
+        # and both shortest vectors +-y of the brute force are visited
+        rmat, radius, signs, brute = self._ball_case(case)
+        if mode == "shrink":
+            length = {y: float(np.linalg.norm(rmat @ np.array(y, dtype=float))) for y in brute}
+            shortest = min(length.values())
+            current = [radius]
+            visited = []
+
+            def shrink(y):
+                visited.append((y, current[0]))
+                if length.get(y, math.inf) < current[0]:
+                    current[0] = length[y]
+                    return length[y]
+                return None
+
+            _search_ball(rmat, radius, shrink)
+            assert all(length.get(y, math.inf) <= bound * (1.0 + 1e-12) for y, bound in visited)
+            short = {y for y in brute if length[y] <= shortest * (1.0 + 1e-12)}
+            assert short <= {y for y, _ in visited}
+            return
+        got = self._visited(rmat, radius)
+        if mode == "signed":
+            assert self._visited(rmat * signs[:, None], radius) == got
+        assert len(set(got)) == len(got)
+        assert set(got) == brute
 
 
 class TestDiscretenessRadius:
@@ -300,16 +381,40 @@ class TestDiscretenessRadius:
                 nontrivial += best < rp.rho
         assert nontrivial >= 20
 
+    @pytest.mark.parametrize("rho", [0.3, 0.05])
+    def test_n3_matches_reference_full_ball(self, rho):
+        # reference route at n = 3: QR-per-swap LLL, then every point of the
+        # padded rho-ball, none skipped by shrinking; the minima agree exactly
+        rp = RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho)
+        radius = rho * math.exp(rho) * (1.0 + 1e-9) + 1e-12
+        eye = np.eye(3, dtype=np.int64)
+        nontrivial = 0
+        for case in range(12):
+            rng = np.random.default_rng([43, case])
+            g = sample_base_conjugator(3, rng, cond_low=2.0, cond_high=30.0)
+            g_inv = np.linalg.inv(g)
+            reduced, transform = qr_lll_reduce(np.kron(g, g_inv.T))
+            best = rho
+            for y in ball_points(np.linalg.qr(reduced, mode="r"), radius):
+                gamma = eye + (transform @ y).reshape(3, 3)
+                if _int_det(gamma) == 1:
+                    value = _conjugate_log_norm(g, g_inv, gamma, rho)
+                    if value is not None:
+                        best = min(best, value)
+            assert discreteness_radius(g, rp) == best
+            nontrivial += best < rho
+        assert nontrivial >= 2
+
     def test_padded_search_ball_stays_in_the_log_domain(self, monkeypatch):
         # at the largest allowed rho the kernel's padded ball radius, which
         # bounds |M - I|_F of every candidate, stays inside mat_log's 1/2
         seen = []
 
-        def recording(rmat, radius):
+        def recording(rmat, radius, confirm):
             seen.append(radius)
-            return _ball_points(rmat, radius)
+            return _search_ball(rmat, radius, confirm)
 
-        monkeypatch.setattr(slgroup, "_ball_points", recording)
+        monkeypatch.setattr(slgroup, "_search_ball", recording)
         rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
         discreteness_radius(np.diag([2.0, 0.5]), rp)
         assert len(seen) == 1 and seen[0] < 0.5
