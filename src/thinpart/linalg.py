@@ -15,6 +15,7 @@ __all__ = [
     "Subspace",
     "frobenius",
     "haar_orthogonal",
+    "haar_rotations",
     "mat_log",
     "hadamard_bound",
 ]
@@ -52,19 +53,26 @@ class Subspace:
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random element of SO(n).
-
-    QR of a Gaussian matrix, the R diagonal sign-corrected so Q is Haar on
-    O(n); if det Q = -1 the last column is flipped, pushing Haar on the
-    reflection component onto SO(n).
-    """
+    """Haar-random element of SO(n), from one n x n Gaussian draw of rng."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
+    return haar_rotations(rng.standard_normal((n, n)))
+
+
+def haar_rotations(z: np.ndarray) -> np.ndarray:
+    """One Haar-random element of SO(n) per standard Gaussian n x n matrix
+    in the trailing two axes of z (a single matrix or a stack).
+
+    QR of each Gaussian matrix, the R diagonal sign-corrected so Q is Haar
+    on O(n); where det Q = -1 the last column is flipped, pushing Haar on
+    the reflection component onto SO(n).  The stacked QR and det run the
+    same LAPACK routine per matrix as a single call, and the signs are
+    exact multiplications by +-1, so each rotation is bit-identical to the
+    one its matrix gives alone.
+    """
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., -1] *= np.sign(np.linalg.det(q))[..., None]
     return q
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LogDomainError, frobenius, haar_orthogonal, mat_log
+from .linalg import LogDomainError, frobenius, haar_rotations, mat_log
 from .rootdata import group_constants
 
 # Search radius for discreteness.  Any value below ln(2)/2 keeps the
@@ -134,9 +134,19 @@ def sample_mu_s(sp: SemisimpleParams, rng: np.random.Generator) -> np.ndarray:
 
     Singular values of every draw equal the diagonal of s_lambda.
     """
-    k1 = haar_orthogonal(sp.n, rng)
-    k2 = haar_orthogonal(sp.n, rng)
-    return k1 @ sp.s_lambda @ k2
+    return mu_s_draws(sp, [rng])[0]
+
+
+def mu_s_draws(sp: SemisimpleParams, rngs) -> np.ndarray:
+    """sample_mu_s for each generator of rngs, stacked along the first axis.
+
+    Each generator gives its k1 and then its k2 Gaussians, in the order a
+    single draw takes them; one stacked QR, det and product then turn
+    them into bit-identical draws.
+    """
+    z = np.stack([rng.standard_normal((2, sp.n, sp.n)) for rng in rngs])
+    k = haar_rotations(z)
+    return k[:, 0] @ sp.s_lambda @ k[:, 1]
 
 
 def candidate_entry_bound(conjugator: np.ndarray, r: float) -> int:
@@ -151,13 +161,22 @@ def candidate_entry_bound(conjugator: np.ndarray, r: float) -> int:
     below x is at most floor(x).  The half unit added before flooring
     absorbs the case where x lands a round-off below a whole number.
     """
+    (bound,) = _entry_bounds(np.asarray(conjugator, dtype=float)[None], r)
+    return bound
+
+
+def _entry_bounds(gs: np.ndarray, r: float) -> list:
+    # candidate_entry_bound of each matrix in the stack gs; one stacked SVD,
+    # then python floats, which round exactly as numpy's do
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    svals = np.linalg.svd(np.asarray(conjugator, dtype=float), compute_uv=False)
-    if svals[-1] <= 0.0:
-        raise ValueError("conjugator must be invertible")
-    cond = float(svals[0] / svals[-1])
-    return int(math.floor(cond * r * math.exp(r) + 0.5))
+    growth = math.exp(r)
+    bounds = []
+    for largest, smallest in np.linalg.svd(gs, compute_uv=False)[:, [0, -1]].tolist():
+        if smallest <= 0.0:
+            raise ValueError("conjugator must be invertible")
+        bounds.append(math.floor(largest / smallest * r * growth + 0.5))
+    return bounds
 
 
 def _int_det(mat: np.ndarray) -> int:
@@ -316,31 +335,73 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     most v still lies inside, so the minimiser is still found and the
     result is the same as over the full ball.  Raises EnumerationCapError
     when the entry window of candidate_entry_bound exceeds
-    DEFAULT_ENTRY_CAP.
+    DEFAULT_ENTRY_CAP.  The one-matrix case of discreteness_radii.
+    """
+    g = np.asarray(conjugator, dtype=float)
+    if g.ndim != 2:
+        raise ValueError(f"conjugator must be square, got shape {g.shape}")
+    (radius,) = discreteness_radii(g[None], rp)
+    if isinstance(radius, EnumerationCapError):
+        raise radius
+    return radius
+
+
+def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
+    """discreteness_radius of every matrix in a stack, one list entry each.
+
+    An entry whose entry window exceeds DEFAULT_ENTRY_CAP holds its
+    EnumerationCapError in place of a radius, so a caller can tolerate
+    such entries one at a time; an invalid entry (not finite, not
+    invertible, determinant off 1) raises ValueError for the whole stack.
+    The front end runs once per stack: the entry-bound SVDs, the
+    determinants, and for the entries that still need a search the
+    inverses and the kron(g, g^{-T}) lattices, broadcast as plain
+    products.  Each of these is bit-identical to its one-matrix form, so
+    every entry equals discreteness_radius of its matrix.
     """
     if rp.rho > ZASSENHAUS_RADIUS:
         # The discard rule in _conjugate_log_norm needs rho e^rho < 1/2.
         raise ValueError(f"rho must not exceed {ZASSENHAUS_RADIUS}, got {rp.rho}")
-    g = np.asarray(conjugator, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"conjugator must be square, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    gs = np.asarray(conjugators, dtype=float)
+    if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
+        raise ValueError(f"conjugators must be a stack of square matrices, got shape {gs.shape}")
+    if not np.isfinite(gs).all():
         raise ValueError("conjugator entries must be finite")
-    needed = candidate_entry_bound(g, rp.rho)
-    if needed > DEFAULT_ENTRY_CAP:
-        raise EnumerationCapError(required=needed, cap=DEFAULT_ENTRY_CAP)
-    if abs(np.linalg.det(g) - 1.0) > 1e-10:
-        raise ValueError("conjugator must have determinant 1")
-    if needed == 0:
-        # cond(g) rho e^rho < 1, while any nonzero integer C has
-        # |g C g^{-1}|_F >= |C|_F / cond(g) >= 1 / cond(g): nothing to scan.
-        return rp.rho
+    out = []
+    search = []
+    dets = np.linalg.det(gs).tolist()
+    for index, (needed, det) in enumerate(zip(_entry_bounds(gs, rp.rho), dets)):
+        if needed > DEFAULT_ENTRY_CAP:
+            out.append(EnumerationCapError(required=needed, cap=DEFAULT_ENTRY_CAP))
+            continue
+        if abs(det - 1.0) > 1e-10:
+            raise ValueError("conjugator must have determinant 1")
+        # needed == 0 means cond(g) rho e^rho < 1, while any nonzero
+        # integer C has |g C g^{-1}|_F >= |C|_F / cond(g) >= 1 / cond(g):
+        # nothing to scan
+        out.append(rp.rho)
+        if needed:
+            search.append(index)
+    if search:
+        n = gs.shape[1]
+        g = gs[search]
+        g_inv = np.linalg.inv(g)
+        g_inv_t = g_inv.swapaxes(1, 2)
+        # kron(a, b)[i n + k, j n + l] = a[i, j] b[k, l]
+        lattice = (g[:, :, None, :, None] * g_inv_t[:, None, :, None, :]).reshape(
+            len(search), n * n, n * n
+        )
+        for i, index in enumerate(search):
+            out[index] = _search_radius(g[i], g_inv[i], lattice[i], rp.rho)
+    return out
+
+
+def _search_radius(g, g_inv, lattice, rho: float) -> float:
+    # the LLL-reduced, shrinking ball search of discreteness_radius
     n = g.shape[0]
-    g_inv = np.linalg.inv(g)
-    lattice = np.kron(g, g_inv.T)
     reduced, transform = _lll_reduce(lattice)
     rmat = np.linalg.qr(reduced, mode="r")
-    best = rp.rho
+    best = rho
     eye = np.eye(n, dtype=np.int64)
 
     def confirm(y):
@@ -348,13 +409,13 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
         gamma = eye + (transform @ y).reshape(n, n)
         if _int_det(gamma) != 1:
             return None
-        value = _conjugate_log_norm(g, g_inv, gamma, rp.rho)
+        value = _conjugate_log_norm(g, g_inv, gamma, rho)
         if value is None or value >= best:
             return None
         best = value
         return _padded_radius(value)
 
-    _search_ball(rmat, _padded_radius(rp.rho), confirm)
+    _search_ball(rmat, _padded_radius(rho), confirm)
     return best
 
 
@@ -371,7 +432,7 @@ def reduced_conjugator(g: np.ndarray) -> np.ndarray:
     if _int_det(u) == -1:
         u[:, 0] = -u[:, 0]
     tight = g @ u
-    q, r = np.linalg.qr(tight)
+    r = np.linalg.qr(tight, mode="r")
     signs = np.sign(np.diag(r))
     r = r * signs[:, None]
     det = float(np.linalg.det(r))

@@ -13,8 +13,10 @@ from thinpart.harness.config import (
     derive_group,
     load_config,
 )
+from thinpart import slgroup
 from thinpart.harness.experiments import (
     _TAG_WALK,
+    _WALK_BLOCK,
     InsufficientDataError,
     WalkCapError,
     drift_parameters,
@@ -34,6 +36,7 @@ from thinpart.harness.report import (
     write_report,
 )
 from thinpart.slgroup import (
+    EnumerationCapError,
     discreteness_radius,
     expanding_element,
     reduced_conjugator,
@@ -276,6 +279,58 @@ class TestRunners:
         err = WalkCapError(steps_done=50, incidents=6, required=2_000_000, cap=1_000_000)
         assert err.incidents == 6
         assert "entry window" in str(err)
+
+    @staticmethod
+    def _stepwise_walk(cfg):
+        # the walk one step at a time with scalar radii: (rows, None), or
+        # (rows so far, WalkCapError fields) once incidents pass the limit
+        sp, rp = derive_group(cfg)
+        g = np.eye(cfg.group_n)
+        rows = []
+        incidents = 0
+        for t in range(1, cfg.walk_length + 1):
+            rng = np.random.default_rng([cfg.seed, _TAG_WALK, t])
+            g = reduced_conjugator(sample_mu_s(sp, rng) @ g)
+            try:
+                radius = discreteness_radius(g, rp)
+            except EnumerationCapError as exc:
+                incidents += 1
+                if incidents > max(5, cfg.walk_length // 200):
+                    return rows, (t, incidents, exc.required, exc.cap)
+                radius = None
+            rows.append((t, radius))
+        return rows, None
+
+    @pytest.mark.parametrize("seed, length, cap, raises", [
+        (_SMALL.seed, 200, 0, False),
+        (_SMALL.seed, _WALK_BLOCK, 0, False),
+        (_SMALL.seed, 700, 1, False),
+        (_SMALL.seed, 600, 0, True),
+        (1, 300, 0, True),
+    ])
+    def test_walk_cap_path_matches_stepwise_walk(self, monkeypatch, seed, length, cap, raises):
+        # with the entry cap at 0 (1), every step whose window is at least
+        # 1 (2) is an incident: the walk records None at exactly the steps
+        # where the scalar radius raises, and stops with the same
+        # WalkCapError (in the second block at the default seed, in the
+        # first at seed 1), whether the length is below, at or off a
+        # multiple of the block size
+        monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", cap)
+        cfg = dataclasses.replace(_SMALL, seed=seed, walk_length=length)
+        rows, error = self._stepwise_walk(cfg)
+        assert (error is not None) == raises
+        if raises:
+            with pytest.raises(WalkCapError) as info:
+                run_stationary_bound(cfg, p_hat=0.88)
+            err = info.value
+            assert (err.steps_done, err.incidents, err.required, err.cap) == error
+            assert isinstance(err.__cause__, EnumerationCapError)
+            return
+        rep = run_stationary_bound(cfg, p_hat=0.88)
+        assert [(t, r) for t, r, _ in rep.samples] == rows
+        nones = [t for t, r in rows if r is None]
+        assert nones and rep.summary["cap_incidents"] == len(nones)
+        assert all(not kept for t, r, kept in rep.samples if r is None)
 
 
 class TestDeterminism:

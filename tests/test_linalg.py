@@ -12,6 +12,7 @@ from thinpart.linalg import (
     Subspace,
     frobenius,
     haar_orthogonal,
+    haar_rotations,
     hadamard_bound,
     mat_log,
 )
@@ -166,6 +167,23 @@ class TestHaar:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
             haar_orthogonal(0, _rng())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_rotations_match_single_draws(self, n):
+        # a stack of Gaussians gives, bit for bit, the rotation each one
+        # gives alone, both through haar_orthogonal and through the plain
+        # per-matrix recipe (QR, R-diagonal signs, last column flipped on
+        # det -1); the stream is one n x n draw per rotation
+        stacked = haar_rotations(
+            np.stack([_rng(8000 + case).standard_normal((n, n)) for case in range(200)])
+        )
+        for case in range(200):
+            assert np.array_equal(stacked[case], haar_orthogonal(n, _rng(8000 + case)))
+            q, r = np.linalg.qr(_rng(8000 + case).standard_normal((n, n)))
+            q = q * np.sign(np.diag(r))
+            if np.linalg.det(q) < 0:
+                q[:, -1] = -q[:, -1]
+            assert np.array_equal(stacked[case], q)
 
 
 class TestNormsAndSubspace:

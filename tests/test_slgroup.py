@@ -11,6 +11,7 @@ from oracles import (
     ad_operator,
     ball_points,
     diagonal_ad_norm,
+    gauss_radius,
     lattice_candidates,
     op_norm,
     qr_lll_reduce,
@@ -30,8 +31,10 @@ from thinpart.slgroup import (
     _lll_reduce,
     _search_ball,
     candidate_entry_bound,
+    discreteness_radii,
     discreteness_radius,
     expanding_element,
+    mu_s_draws,
     radius_params,
     reduced_conjugator,
     sample_mu_s,
@@ -44,6 +47,9 @@ E = math.e
 # conjugators already produce lattice elements below the ceiling.
 _LOOSE_SP = expanding_element(2, E**2, math.exp(-1.0))
 _LOOSE_RP = radius_params(_LOOSE_SP)
+# The default config's scale: rho = 0.34 / e^4.
+_DEFAULT_SP = expanding_element(2, 55.0, math.exp(-1.0))
+_DEFAULT_RP = radius_params(_DEFAULT_SP)
 
 
 class TestBasis:
@@ -443,3 +449,96 @@ class TestReducedConjugator:
         r_wild = discreteness_radius(wild, _LOOSE_RP)
         r_tame = discreteness_radius(tame, _LOOSE_RP)
         assert abs(r_wild - r_tame) <= 1e-9
+
+
+def _walk_conjugators(count):
+    # g_t = reduced_conjugator(k1 s_lambda k2 g_{t-1}) at the default scale
+    g = np.eye(2)
+    out = []
+    for t in range(1, count + 1):
+        g = reduced_conjugator(sample_mu_s(_DEFAULT_SP, np.random.default_rng([44, t])) @ g)
+        out.append(g)
+    return out
+
+
+class TestStacked:
+    """The stacked draws and radii equal their one-matrix forms bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mu_s_draws_match_sample_mu_s(self, n):
+        sp = expanding_element(n, 55.0, math.exp(-1.0))
+        stacked = mu_s_draws(sp, [np.random.default_rng([45, i]) for i in range(200)])
+        for i in range(200):
+            assert np.array_equal(stacked[i], sample_mu_s(sp, np.random.default_rng([45, i])))
+
+    @pytest.mark.parametrize("rp", [_DEFAULT_RP, _LOOSE_RP], ids=["default-rho", "loose-rho"])
+    def test_stacked_radii_match_scalar(self, rp):
+        # walk conjugators, base draws, cusp-ray points and the identity,
+        # interleaved so searched and shortcut entries alternate
+        walk = _walk_conjugators(300)
+        bases = [sample_base_conjugator(2, np.random.default_rng([46, i])) for i in range(60)]
+        ys = np.geomspace(2.0 / rp.rho, 3000.0 / rp.rho, 41)
+        cusp = [np.diag([y**-0.5, y**0.5]) for y in ys]
+        stack = [np.eye(2)] + [m for group in itertools.zip_longest(walk, bases, cusp)
+                               for m in group if m is not None]
+        got = discreteness_radii(np.stack(stack), rp)
+        want = [discreteness_radius(g, rp) for g in stack]
+        assert got == want
+        assert got[0] == rp.rho
+        assert 20 <= sum(r < rp.rho for r in got) < len(got)
+
+    def test_stacked_cap_entry_carries_requirement(self):
+        # cond(g) = 1e8 and a rotated cond 1e10 are over the cap at the
+        # loose rho; their neighbours are not
+        wide = [
+            np.diag([1e-4, 1e4]),
+            haar_orthogonal(2, np.random.default_rng(48)) @ np.diag([1e-5, 1e5]),
+        ]
+        stack = [np.diag([0.1, 10.0]), wide[0], np.eye(2), wide[1]]
+        got = discreteness_radii(np.stack(stack), _LOOSE_RP)
+        for i, g in ((1, wide[0]), (3, wide[1])):
+            with pytest.raises(EnumerationCapError) as info:
+                discreteness_radius(g, _LOOSE_RP)
+            assert isinstance(got[i], EnumerationCapError)
+            assert (got[i].required, got[i].cap) == (info.value.required, DEFAULT_ENTRY_CAP)
+        assert got[1].required < got[3].required
+        assert got[0] == discreteness_radius(stack[0], _LOOSE_RP) < _LOOSE_RP.rho
+        assert got[2] == _LOOSE_RP.rho
+
+    def test_stacked_rejects_determinant_off_one(self):
+        stack = np.stack([np.eye(2), np.diag([2.0, 1.0]), np.diag([0.1, 10.0])])
+        with pytest.raises(ValueError, match="determinant 1"):
+            discreteness_radii(stack, _LOOSE_RP)
+
+    def test_stacked_rejects_bad_shapes(self):
+        for gs in (np.eye(2), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan)):
+            with pytest.raises(ValueError):
+                discreteness_radii(gs, _LOOSE_RP)
+
+
+class TestGaussOracle:
+    """n = 2 closed form: the radius is min(rho, lambda_1(g Z^2)^2)."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(1.0, 5.0),
+        st.floats(_DEFAULT_RP.rho, ZASSENHAUS_RADIUS),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_radius_matches_shortest_vector(self, seed, log10_cond, rho):
+        rp = RadiusParams(R=0.35, rho=rho)
+        cond = 10.0**log10_cond
+        rng = np.random.default_rng([47, seed])
+        g = sample_base_conjugator(2, rng, cond_low=cond, cond_high=cond)
+        rotated = haar_orthogonal(2, rng) @ g
+        want = gauss_radius(g, rho)
+        assert abs(gauss_radius(rotated, rho) / want - 1.0) <= 1e-12
+        assert abs(discreteness_radius(g, rp) / want - 1.0) <= 1e-9
+        for got in discreteness_radii(np.stack([g, rotated]), rp):
+            assert abs(got / want - 1.0) <= 1e-9
+
+    def test_oracle_on_the_cusp_ray_and_identity(self):
+        assert gauss_radius(np.eye(2), 0.3) == 0.3
+        for y in (10.0, 1e3, 1e5):
+            got = gauss_radius(np.diag([y**-0.5, y**0.5]), 0.3)
+            assert got == pytest.approx(1.0 / y, rel=1e-15)
