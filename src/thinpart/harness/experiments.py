@@ -72,9 +72,9 @@ _EXPANSION_FACTOR = 2.0
 _THIN_CUT = 0.5  # a base model is "thin" below _THIN_CUT * rho
 _SIGMAS = 3.0
 _BASE_TRIES = 400
-# Walk steps whose mu_s draws and radius front end are stacked at once; a
-# block holds that many generators, and all 10^4 default steps at once
-# would hold about 5 MB of them.
+# Walk steps whose mu_s draws and radius front end are stacked at once.  A
+# block holds that many generators of about 1 KB each, so stacking all 10^4
+# default steps would hold about 10 MB and raise the peak memory.
 _WALK_BLOCK = 256
 
 
