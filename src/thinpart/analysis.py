@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import haar_orthogonal
+from .linalg import haar_rotations
 
 __all__ = [
     "GridTooSmallError",
@@ -83,18 +83,17 @@ def sublevel_measure(
 def _haar_coefficient_samples(
     n: int, coefficient: tuple, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
+    # <g e_i, e_j> = g[j, i] for n_samples Haar draws of g
     i, j = coefficient
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"coefficient index {coefficient} out of range for SO({n})")
     if n == 2:
-        # Haar on SO(2) is the uniform angle; sample it directly.
+        # Haar on SO(2) is the uniform angle of [[cos, -sin], [sin, cos]].
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
-        entries = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        return entries[j][i]
-    out = np.empty(n_samples)
-    for t in range(n_samples):
-        out[t] = haar_orthogonal(n, rng)[j, i]
-    return out
+        if i == j:
+            return np.cos(theta)
+        return np.sin(theta) if j > i else -np.sin(theta)
+    return haar_rotations(rng.standard_normal((n_samples, n, n)))[:, j, i]
 
 
 def compact_group_sublevel_fit(
@@ -102,7 +101,7 @@ def compact_group_sublevel_fit(
     coefficient: tuple,
     eps_grid: list,
     rng: np.random.Generator,
-    n_samples: int = 200_000,
+    n_samples: int,
 ) -> tuple:
     """Fit measure{|<g e_i, e_j>| < eps} ~ kappa eps^slope over Haar samples.
 

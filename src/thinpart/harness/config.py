@@ -55,6 +55,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        if not isinstance(self.eps_grid, (list, tuple)) or any(
+            not isinstance(e, (int, float)) or isinstance(e, bool) for e in self.eps_grid
+        ):
+            raise ConfigError(f"eps_grid must be a list of numbers, got {self.eps_grid!r}")
         eps = tuple(float(e) for e in self.eps_grid)
         if len(eps) < 1:
             raise ConfigError("eps_grid must not be empty")
@@ -87,7 +91,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs[attr_for[key]] = value
     try:
         return ExperimentConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ConfigError(str(exc)) from exc
 
 

@@ -101,9 +101,10 @@ def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, index])
 
 
-def expansion_indicator(i_expanded, i_base, factor: float = _EXPANSION_FACTOR):
-    """1 when a single expanding step grew the radius by at least `factor`."""
-    return i_expanded >= factor * i_base
+def expansion_indicator(i_expanded, i_base):
+    """1 when a single expanding step grew the radius by at least
+    _EXPANSION_FACTOR."""
+    return i_expanded >= _EXPANSION_FACTOR * i_base
 
 
 def model_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
@@ -116,15 +117,14 @@ def sample_base_conjugator(
     rng: np.random.Generator,
     cond_low: float = 10.0,
     cond_high: float = 1000.0,
-    shear: float = 0.5,
 ) -> np.ndarray:
     """One determinant-one conjugator g = k a u.
 
     k is Haar on SO(n); a has increasing log-spaced diagonal with condition
     number log-uniform in [cond_low, cond_high]; u is upper unipotent with
-    uniform entries.  Since a u a^-1 keeps the top-right corner of u intact,
-    large cond(a) forces small discreteness radii, which is what the thin
-    filter needs to hit.
+    entries uniform in [-1/2, 1/2].  Since a u a^-1 keeps the top-right
+    corner of u intact, large cond(a) forces small discreteness radii,
+    which is what the thin filter needs to hit.
     """
     k = haar_orthogonal(n, rng)
     log_cond = rng.uniform(math.log(cond_low), math.log(cond_high))
@@ -137,7 +137,7 @@ def sample_base_conjugator(
     a = np.diag(np.exp(raw * (log_cond / span)))
     u = np.eye(n)
     iu = np.triu_indices(n, 1)
-    u[iu] = rng.uniform(-shear, shear, size=len(iu[0]))
+    u[iu] = rng.uniform(-0.5, 0.5, size=len(iu[0]))
     return k @ a @ u
 
 
@@ -707,7 +707,7 @@ def run_grassmann(cfg: ExperimentConfig) -> ExperimentReport:
         d = np.concatenate(
             [np.exp(rng.uniform(0.2, 1.0, m)), np.exp(rng.uniform(-1.0, -0.2, n - m))]
         )
-        ok_b, slack_b = check_bijection_contraction(q @ np.diag(d) @ q.T, ss, w, 64, rng)
+        ok_b, slack_b = check_bijection_contraction(q @ np.diag(d) @ q.T, ss, w)
 
         proj_ok = proj_ok and ok_p
         bij_ok = bij_ok and ok_b

@@ -129,29 +129,22 @@ def radius_params(sp: SemisimpleParams) -> RadiusParams:
     return RadiusParams(R=ZASSENHAUS_RADIUS, rho=ZASSENHAUS_RADIUS / sp.ad_norm)
 
 
-def sample_mu_s(sp: SemisimpleParams, rng: np.random.Generator) -> np.ndarray:
-    """One draw k1 s_lambda k2 with independent uniform rotations.
-
-    Singular values of every draw equal the diagonal of s_lambda.
-    """
-    return mu_s_draws(sp, [rng])[0]
-
-
 def mu_s_draws(sp: SemisimpleParams, rngs) -> np.ndarray:
-    """sample_mu_s for each generator of rngs, stacked along the first axis.
+    """One draw k1 s_lambda k2 with independent uniform rotations for each
+    generator of rngs, stacked along the first axis.
 
-    Each generator gives its k1 and then its k2 Gaussians, in the order a
-    single draw takes them; one stacked QR, det and product then turn
-    them into bit-identical draws.
+    Each generator gives its k1 and then its k2 Gaussians; one stacked
+    QR, det and product turn them into the draws.  Singular values of
+    every draw equal the diagonal of s_lambda.
     """
     z = np.stack([rng.standard_normal((2, sp.n, sp.n)) for rng in rngs])
     k = haar_rotations(z)
     return k[:, 0] @ sp.s_lambda @ k[:, 1]
 
 
-def candidate_entry_bound(conjugator: np.ndarray, r: float) -> int:
-    """Integer entry window that provably contains every lattice element
-    of log-norm at most r.
+def _entry_bounds(gs: np.ndarray, r: float) -> list:
+    """For each matrix g of the stack gs, an integer entry window that
+    provably contains every lattice element of log-norm at most r.
 
     For M = exp(X) the series M - I = sum_k X^k / k! gives
     |M - I|_F <= |X|_F e^{|X|_2} <= r e^r.  Undoing the conjugation,
@@ -160,14 +153,8 @@ def candidate_entry_bound(conjugator: np.ndarray, r: float) -> int:
     norm, so |gamma_ij - delta_ij| <= cond_2(g) r e^r =: x, and an integer
     below x is at most floor(x).  The half unit added before flooring
     absorbs the case where x lands a round-off below a whole number.
+    One stacked SVD, then python floats, which round exactly as numpy's do.
     """
-    (bound,) = _entry_bounds(np.asarray(conjugator, dtype=float)[None], r)
-    return bound
-
-
-def _entry_bounds(gs: np.ndarray, r: float) -> list:
-    # candidate_entry_bound of each matrix in the stack gs; one stacked SVD,
-    # then python floats, which round exactly as numpy's do
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     growth = math.exp(r)
@@ -334,8 +321,8 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     shrinks the ball to the padded v e^v: every element of log-norm at
     most v still lies inside, so the minimiser is still found and the
     result is the same as over the full ball.  Raises EnumerationCapError
-    when the entry window of candidate_entry_bound exceeds
-    DEFAULT_ENTRY_CAP.  The one-matrix case of discreteness_radii.
+    when the entry window of _entry_bounds exceeds DEFAULT_ENTRY_CAP.  The
+    one-matrix case of discreteness_radii.
     """
     g = np.asarray(conjugator, dtype=float)
     if g.ndim != 2:

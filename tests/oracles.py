@@ -7,7 +7,8 @@ as an explicit matrix on sl(n), whose spectral norm checks the closed-form
 Ad norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
 The radius kernel's two search layers also keep their plain forms here:
 an LLL that takes a fresh QR after every swap, and a full interval
-enumeration of the ball that never shrinks it.
+enumeration of the ball that never shrinks it.  A mu_s draw keeps its
+plain form too: two Haar rotations around s_lambda, one after the other.
 """
 
 import itertools
@@ -15,19 +16,32 @@ import math
 
 import numpy as np
 
-from thinpart.slgroup import candidate_entry_bound
+from thinpart.linalg import haar_orthogonal
+
+
+def mu_s_draw(sp, rng: np.random.Generator) -> np.ndarray:
+    """k1 s_lambda k2 with k1, then k2, Haar on SO(n) from rng."""
+    k1 = haar_orthogonal(sp.n, rng)
+    return k1 @ sp.s_lambda @ haar_orthogonal(sp.n, rng)
+
+
+def entry_window(conjugator: np.ndarray, r: float) -> int:
+    """Integer entry window for radius r: |log M|_F <= r gives
+    |M - I|_F <= r e^r, undoing the conjugation stretches that by at most
+    cond_2(g), and entries are bounded by the Frobenius norm; one unit of
+    slack absorbs round-off."""
+    return int(math.floor(np.linalg.cond(conjugator) * r * math.exp(r))) + 1
 
 
 def lattice_candidates(conjugator: np.ndarray, r: float) -> list:
-    """Every gamma in SL(2,Z), gamma != I, inside the integer entry window
-    for radius r.  Complete for log-norm <= r by the candidate_entry_bound
-    derivation; deliberately exhaustive rather than fast.
+    """Every gamma in SL(2,Z), gamma != I, inside entry_window(g, r).
+    Complete for log-norm <= r; deliberately exhaustive rather than fast.
     """
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be finite and nonnegative, got {r}")
     if np.shape(conjugator) != (2, 2):
         raise ValueError("the window oracle is written for 2 x 2 conjugators")
-    bound = candidate_entry_bound(conjugator, r)
+    bound = entry_window(conjugator, r)
     # Solve a d - b c = 1 for d instead of scanning the fourth entry.
     out = []
     for a in range(1 - bound, bound + 2):

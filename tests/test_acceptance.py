@@ -35,8 +35,8 @@ from thinpart.rootdata import delta_lower_bound, group_constants
 from thinpart.slgroup import (
     discreteness_radius,
     expanding_element,
+    mu_s_draws,
     radius_params,
-    sample_mu_s,
 )
 
 
@@ -149,7 +149,7 @@ def test_criterion_05_sampler_singular_values():
         sp = expanding_element(n, 55.0, math.exp(-1.0))
         want = np.sort(np.diag(sp.s_lambda))[::-1]
         for _ in range(500):
-            sv = np.linalg.svd(sample_mu_s(sp, rng), compute_uv=False)
+            sv = np.linalg.svd(mu_s_draws(sp, [rng])[0], compute_uv=False)
             assert np.max(np.abs(sv - want)) <= 1e-10
     assert time.perf_counter() - start < 5.0
 

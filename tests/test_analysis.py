@@ -7,9 +7,11 @@ from thinpart.analysis import (
     Box,
     GridTooSmallError,
     ScalarField,
+    _haar_coefficient_samples,
     compact_group_sublevel_fit,
     sublevel_measure,
 )
+from thinpart.linalg import haar_orthogonal
 
 
 def _monomial(d):
@@ -71,3 +73,28 @@ class TestCompactGroupFit:
         rng = np.random.default_rng(18)
         with pytest.raises(GridTooSmallError):
             compact_group_sublevel_fit(2, (0, 0), [1e-9, 1e-8], rng, n_samples=2_000)
+
+
+class TestHaarCoefficients:
+    @pytest.mark.parametrize("coefficient", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_so2_coefficients_follow_the_angle(self, coefficient):
+        # <g e_i, e_j> = g[j, i] for g = [[cos, -sin], [sin, cos]], sign included
+        i, j = coefficient
+        got = _haar_coefficient_samples(2, coefficient, 5_000, np.random.default_rng(19))
+        theta = np.random.default_rng(19).uniform(0.0, 2.0 * np.pi, size=5_000)
+        rotation = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        assert np.array_equal(got, rotation[j][i])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stacked_draw_matches_per_sample_loop(self, n):
+        # reference: one haar_orthogonal per sample from the same generator
+        for coefficient in ((0, 0), (1, 2), (n - 1, 0)):
+            i, j = coefficient
+            got = _haar_coefficient_samples(n, coefficient, 500, np.random.default_rng(20))
+            rng = np.random.default_rng(20)
+            want = np.array([haar_orthogonal(n, rng)[j, i] for _ in range(500)])
+            assert np.array_equal(got, want)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError):
+            _haar_coefficient_samples(3, (0, 3), 10, np.random.default_rng(21))

@@ -91,8 +91,25 @@ class TestBijectionContraction:
                 [np.exp(rng.uniform(0.2, 1.0, m)), np.exp(rng.uniform(-1.0, -0.2, n - m))]
             )
             l_map = q @ np.diag(d) @ q.T
-            holds, slack = check_bijection_contraction(l_map, ss, w, 64, rng)
+            holds, slack = check_bijection_contraction(l_map, ss, w)
             assert holds, f"case {case}: slack {slack}"
+
+    def test_unit_vectors_never_beat_the_exact_infimum(self):
+        # the check takes inf_W ||Lw||/||w|| as the smallest singular value
+        # of L on W; random unit vectors of W stay above it up to round-off
+        for case in range(300):
+            rng = np.random.default_rng([25, case])
+            ss, w, q, m = _random_case(rng)
+            n = ss.ambient_dim
+            d = np.concatenate(
+                [np.exp(rng.uniform(0.2, 1.0, m)), np.exp(rng.uniform(-1.0, -0.2, n - m))]
+            )
+            l_map = q @ np.diag(d) @ q.T
+            sigma_min = np.linalg.svd(l_map @ w.basis, compute_uv=False)[-1]
+            coeffs = rng.standard_normal((64, w.dim))
+            coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+            ratios = np.linalg.norm(coeffs @ w.basis.T @ l_map.T, axis=1)
+            assert ratios.min() >= sigma_min * (1.0 - 1e-12), f"case {case}"
 
     def test_rejects_split_breaking_map(self):
         ss = split_from_basis(np.eye(3)[:, :1])
@@ -100,4 +117,4 @@ class TestBijectionContraction:
         shear = np.eye(3)
         shear[0, 2] = 1.0
         with pytest.raises(ValueError):
-            check_bijection_contraction(shear, ss, w, 8)
+            check_bijection_contraction(shear, ss, w)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mu_s_draw
 from thinpart.harness.cli import main as cli_main
 from thinpart.harness.config import (
     ConfigError,
@@ -40,7 +41,6 @@ from thinpart.slgroup import (
     discreteness_radius,
     expanding_element,
     reduced_conjugator,
-    sample_mu_s,
 )
 
 _SMALL = ExperimentConfig(n_base_points=6, n_mc_samples=30, walk_length=300)
@@ -78,6 +78,23 @@ class TestConfig:
             ExperimentConfig(seed=-1)
         with pytest.raises(ConfigError):
             ExperimentConfig(eps_grid=(1e-3, 1e-3))
+
+    @pytest.mark.parametrize(
+        "grid", [["a"], "1e-3", [1e-3, True], [[1e-3]], 1e-3, None],
+        ids=["string-entry", "string", "bool-entry", "nested", "scalar", "null"],
+    )
+    def test_eps_grid_must_be_a_list_of_numbers(self, grid):
+        with pytest.raises(ConfigError, match="eps_grid"):
+            config_from_dict({"eps_grid": grid})
+
+    @pytest.mark.parametrize("raw", [{"lambda": 10**400}, {"eps_grid": [10**400]}],
+                             ids=["lambda", "eps_grid"])
+    def test_integer_past_float_range_is_config_error(self, raw):
+        with pytest.raises(ConfigError, match="too large"):
+            config_from_dict(raw)
+
+    def test_eps_grid_accepts_ints_and_floats(self):
+        assert config_from_dict({"eps_grid": [1, 1e-3]}).eps_grid == (1.0, 1e-3)
 
     def test_eps_grid_must_sit_below_rho(self):
         with pytest.raises(ConfigError, match="search radius"):
@@ -221,15 +238,16 @@ class TestRunners:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_walk_step_is_a_mu_s_draw(self):
-        # the walk is g_t = reduced_conjugator(sample_mu_s(sp, rng_t) @ g_{t-1})
-        # on the walk stream; every radius of the report is recomputed
+        # the walk is g_t = reduced_conjugator(k1 s_lambda k2 g_{t-1}) with k1
+        # and k2 from step t's walk stream; every radius of the report is
+        # recomputed
         sp, rp = derive_group(_SMALL)
         rep = run_stationary_bound(_SMALL, p_hat=0.88)
         g = np.eye(_SMALL.group_n)
         radii = []
         for t in range(1, _SMALL.walk_length + 1):
             rng = np.random.default_rng([_SMALL.seed, _TAG_WALK, t])
-            g = reduced_conjugator(sample_mu_s(sp, rng) @ g)
+            g = reduced_conjugator(mu_s_draw(sp, rng) @ g)
             radii.append(discreteness_radius(g, rp))
         assert [(t, r) for t, r, _ in rep.samples] == list(enumerate(radii, start=1))
         assert any(r < rp.rho for r in radii)  # not only the ceiling
@@ -290,7 +308,7 @@ class TestRunners:
         incidents = 0
         for t in range(1, cfg.walk_length + 1):
             rng = np.random.default_rng([cfg.seed, _TAG_WALK, t])
-            g = reduced_conjugator(sample_mu_s(sp, rng) @ g)
+            g = reduced_conjugator(mu_s_draw(sp, rng) @ g)
             try:
                 radius = discreteness_radius(g, rp)
             except EnumerationCapError as exc:
@@ -377,6 +395,14 @@ class TestCli:
         code = cli_main(["constants", "--config", str(bad)])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [["a"], "1e-3"], ids=["string-entry", "string"])
+    def test_bad_eps_grid_exit_one(self, tmp_path, capsys, grid):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"eps_grid": grid}))
+        code = cli_main(["constants", "--config", str(bad), "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert "error: eps_grid" in capsys.readouterr().err
 
     def test_pipeline_feeds_measured_p_hat(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -11,8 +11,10 @@ from oracles import (
     ad_operator,
     ball_points,
     diagonal_ad_norm,
+    entry_window,
     gauss_radius,
     lattice_candidates,
+    mu_s_draw,
     op_norm,
     qr_lll_reduce,
     sl_basis,
@@ -27,17 +29,16 @@ from thinpart.slgroup import (
     RadiusParams,
     ZASSENHAUS_RADIUS,
     _conjugate_log_norm,
+    _entry_bounds,
     _int_det,
     _lll_reduce,
     _search_ball,
-    candidate_entry_bound,
     discreteness_radii,
     discreteness_radius,
     expanding_element,
     mu_s_draws,
     radius_params,
     reduced_conjugator,
-    sample_mu_s,
 )
 
 E = math.e
@@ -149,17 +150,22 @@ class TestExpandingElement:
         want = np.sort(np.diag(sp.s_lambda))[::-1]
         for case in range(100):
             rng = np.random.default_rng([32, case])
-            sv = np.linalg.svd(sample_mu_s(sp, rng), compute_uv=False)
+            sv = np.linalg.svd(mu_s_draws(sp, [rng])[0], compute_uv=False)
             assert np.abs(sv - want).max() <= 1e-10
 
 
 class TestCandidateEnumeration:
     def test_entry_bound_examples(self):
-        assert candidate_entry_bound(np.eye(2), 0.3) == 0
-        assert candidate_entry_bound(np.eye(2), 1.2) == 4
+        assert _entry_bounds(np.eye(2)[None], 0.3) == [0]
+        assert _entry_bounds(np.eye(2)[None], 1.2) == [4]
+        assert _entry_bounds(np.stack([np.eye(2), np.diag([0.5, 2.0])]), 1.2) == [4, 16]
 
     def test_identity_small_radius_empty(self):
-        assert lattice_candidates(np.eye(2), 0.3) == []
+        # the oracle's window is one unit wider than the proof needs, so
+        # it holds the unit shears; none lies in the ball |gamma - I|_F <= r e^r
+        cands = lattice_candidates(np.eye(2), 0.3)
+        assert cands
+        assert all(np.linalg.norm(c - np.eye(2)) > 0.3 * math.exp(0.3) for c in cands)
 
     def test_identity_unit_ball_frozen_count(self):
         cands = lattice_candidates(np.eye(2), 1.2)
@@ -172,7 +178,7 @@ class TestCandidateEnumeration:
 
     def test_2x2_solver_matches_brute_force(self):
         # independent re-derivation: scan the full integer box
-        bound = candidate_entry_bound(np.eye(2), 1.2)
+        bound = entry_window(np.eye(2), 1.2)
         brute = set()
         rng_box = range(-bound, bound + 1)
         for a, b, c, d in itertools.product(rng_box, repeat=4):
@@ -183,6 +189,8 @@ class TestCandidateEnumeration:
         assert got == brute
 
     def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            _entry_bounds(np.eye(2)[None], -0.1)
         with pytest.raises(ValueError):
             lattice_candidates(np.eye(2), -0.1)
 
@@ -456,7 +464,7 @@ def _walk_conjugators(count):
     g = np.eye(2)
     out = []
     for t in range(1, count + 1):
-        g = reduced_conjugator(sample_mu_s(_DEFAULT_SP, np.random.default_rng([44, t])) @ g)
+        g = reduced_conjugator(mu_s_draw(_DEFAULT_SP, np.random.default_rng([44, t])) @ g)
         out.append(g)
     return out
 
@@ -466,10 +474,11 @@ class TestStacked:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mu_s_draws_match_sample_mu_s(self, n):
+        # against the plain k1 s_lambda k2 from the same generator
         sp = expanding_element(n, 55.0, math.exp(-1.0))
         stacked = mu_s_draws(sp, [np.random.default_rng([45, i]) for i in range(200)])
         for i in range(200):
-            assert np.array_equal(stacked[i], sample_mu_s(sp, np.random.default_rng([45, i])))
+            assert np.array_equal(stacked[i], mu_s_draw(sp, np.random.default_rng([45, i])))
 
     @pytest.mark.parametrize("rp", [_DEFAULT_RP, _LOOSE_RP], ids=["default-rho", "loose-rho"])
     def test_stacked_radii_match_scalar(self, rp):
