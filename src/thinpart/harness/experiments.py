@@ -10,7 +10,6 @@ evaluates a base and its samples, never which generator they use.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 
@@ -112,6 +111,17 @@ def model_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     return discreteness_radius(conjugator, rp)
 
 
+def _stack_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
+    """model_radius of every matrix in a stack, from one discreteness_radii
+    call; raises the first entry's EnumerationCapError, as a loop of
+    model_radius calls would."""
+    radii = discreteness_radii(conjugators, rp)
+    for radius in radii:
+        if isinstance(radius, EnumerationCapError):
+            raise radius
+    return radii
+
+
 def sample_base_conjugator(
     n: int,
     rng: np.random.Generator,
@@ -160,6 +170,9 @@ def drift_parameters(
 def _pool_map(fn, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: at workers = 1 it would load multiprocessing for nothing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
@@ -193,9 +206,12 @@ def _expansion_base_task(seed, sp, rp, per_model, index):
     indices = range(index * per_model, (index + 1) * per_model)
     gaussians = [_rng(seed, _TAG_ORIENT, idx).standard_normal((sp.n, sp.n)) for idx in indices]
     rotated = haar_rotations(np.stack(gaussians)) @ g
+    # each rotated model next to its expanded one, in the order of the rows
+    pairs = np.stack([rotated, sp.s_lambda @ rotated], axis=1).reshape(-1, sp.n, sp.n)
+    radii = _stack_radii(pairs, rp)
     rows = [
-        (idx, index, model_radius(k_g, rp), model_radius(sp.s_lambda @ k_g, rp))
-        for idx, k_g in zip(indices, rotated)
+        (idx, index, i_rotated, i_expanded)
+        for idx, i_rotated, i_expanded in zip(indices, radii[0::2], radii[1::2])
     ]
     return rows, tries
 
@@ -291,11 +307,9 @@ def _drift_base_task(seed, sp, rp, delta, m, index):
     g = sample_base_conjugator(sp.n, _rng(seed, _TAG_DRIFT_BASE, index))
     indices = range(index * m, (index + 1) * m)
     stepped = mu_s_draws(sp, [_rng(seed, _TAG_DRIFT, idx) for idx in indices]) @ g
-    rows = []
-    for idx, s_g in zip(indices, stepped):
-        radius = model_radius(s_g, rp)
-        rows.append((idx, radius, radius ** (-delta)))
-    return model_radius(g, rp), rows
+    *radii, base = _stack_radii(np.concatenate([stepped, g[None]]), rp)
+    rows = [(idx, radius, radius ** (-delta)) for idx, radius in zip(indices, radii)]
+    return base, rows
 
 
 _KEY_COLUMNS = ("sample_index", "base_index", "i_sample", "f_sample", "i_base", "f_base")
@@ -376,10 +390,10 @@ def _walk(cfg: ExperimentConfig, sp, rp, min_kept: int) -> tuple:
     _WALK_BLOCK steps at a time (mu_s_draws, discreteness_radii); only
     the product and reduced_conjugator go step by step.  Every value,
     incident and error is the one a step-by-step loop gives.  About 99%
-    of the default walk's radii stop at the front end's rho shortcut (108
-    of the 10^4 steps search), so a step costs mostly its generator and
-    its reduction: the default walk takes about 1.4 s, against 3.0 s step
-    by step (shared 2-core box, numpy 2.4).
+    of the default walk's radii stop at the front end's rho shortcut, and
+    the other 108 of the 10^4 steps take the n = 2 closed form, so a step
+    costs mostly its generator and its reduction: the default walk takes
+    about 1.4 s, against 3.0 s step by step (shared 2-core box, numpy 2.4).
     """
     g = np.eye(cfg.group_n)
     cap_limit = max(5, cfg.walk_length // 200)

@@ -18,8 +18,11 @@ from .rootdata import group_constants
 
 # Search radius for discreteness.  Any value below ln(2)/2 keeps the
 # principal matrix log well defined and injective on the search ball even
-# after a further doubling, so the radius computation stays sound; and
-# 0.34 e^0.34 < 1/2 keeps the padded search ball inside mat_log's domain.
+# after a further doubling, so the radius computation stays sound.  At
+# n = 2, 2 cosh(0.34 / sqrt 2) < 3 makes every lattice element of
+# log-norm at most 0.34 unipotent, which _gauss_radius's closed form
+# needs; at n >= 3, 0.34 e^0.34 < 1/2 keeps the padded search ball inside
+# mat_log's domain.
 ZASSENHAUS_RADIUS = 0.34
 
 # Ceiling on the integer entry window a radius search may request.
@@ -311,18 +314,21 @@ def _conjugate_log_norm(g, g_inv, gamma, cap: float):
 def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     """Smallest log-norm among elements of g SL(n,Z) g^{-1}, capped at rho.
 
-    Search: gamma = I + C qualifies only if |g C g^{-1}|_F <= rho e^rho,
-    i.e. the row-stacked vector of C is an integer point of the lattice
-    spanned by kron(g, g^{-T}) inside that ball.  The ball is searched
-    completely (LLL-reduced basis, then a triangular search), so no
-    qualifying element can be missed; a small inflation of the radius
-    covers search round-off, and every hit is confirmed against the exact
-    log-norm.  Each confirmed hit of log-norm v below the best so far
-    shrinks the ball to the padded v e^v: every element of log-norm at
-    most v still lies inside, so the minimiser is still found and the
-    result is the same as over the full ball.  Raises EnumerationCapError
-    when the entry window of _entry_bounds exceeds DEFAULT_ENTRY_CAP.  The
-    one-matrix case of discreteness_radii.
+    n = 2 has a closed form, min(rho, lambda_1(g Z^2)^2 / det g), by
+    Lagrange-Gauss reduction (_gauss_radius, whose docstring holds the
+    proof).  n >= 3 searches: gamma = I + C qualifies only if
+    |g C g^{-1}|_F <= rho e^rho, i.e. the row-stacked vector of C is an
+    integer point of the lattice spanned by kron(g, g^{-T}) inside that
+    ball.  The ball is searched completely (LLL-reduced basis, then a
+    triangular search), so no qualifying element can be missed; a small
+    inflation of the radius covers search round-off, and every hit is
+    confirmed against the exact log-norm.  Each confirmed hit of log-norm
+    v below the best so far shrinks the ball to the padded v e^v: every
+    element of log-norm at most v still lies inside, so the minimiser is
+    still found and the result is the same as over the full ball.  Raises
+    EnumerationCapError when the entry window of _entry_bounds exceeds
+    DEFAULT_ENTRY_CAP, at every n.  The one-matrix case of
+    discreteness_radii.
     """
     g = np.asarray(conjugator, dtype=float)
     if g.ndim != 2:
@@ -340,14 +346,17 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     EnumerationCapError in place of a radius, so a caller can tolerate
     such entries one at a time; an invalid entry (not finite, not
     invertible, determinant off 1) raises ValueError for the whole stack.
-    The front end runs once per stack: the entry-bound SVDs, the
-    determinants, and for the entries that still need a search the
-    inverses and the kron(g, g^{-T}) lattices, broadcast as plain
-    products.  Each of these is bit-identical to its one-matrix form, so
-    every entry equals discreteness_radius of its matrix.
+    The front end runs once per stack and for every n: the entry-bound
+    SVDs, the cap check, the determinants and the rho shortcut of entries
+    whose window is empty.  The entries left over take _gauss_radius at
+    n = 2; at n >= 3 they take the inverses and the kron(g, g^{-T})
+    lattices, broadcast as plain products, and then _search_radius.  Each
+    stacked piece is bit-identical to its one-matrix form, so every entry
+    equals discreteness_radius of its matrix.
     """
     if rp.rho > ZASSENHAUS_RADIUS:
-        # The discard rule in _conjugate_log_norm needs rho e^rho < 1/2.
+        # _gauss_radius needs rho <= 0.34, and the discard rule in
+        # _conjugate_log_norm needs rho e^rho < 1/2.
         raise ValueError(f"rho must not exceed {ZASSENHAUS_RADIUS}, got {rp.rho}")
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
@@ -369,18 +378,65 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
         out.append(rp.rho)
         if needed:
             search.append(index)
-    if search:
-        n = gs.shape[1]
-        g = gs[search]
-        g_inv = np.linalg.inv(g)
-        g_inv_t = g_inv.swapaxes(1, 2)
-        # kron(a, b)[i n + k, j n + l] = a[i, j] b[k, l]
-        lattice = (g[:, :, None, :, None] * g_inv_t[:, None, :, None, :]).reshape(
-            len(search), n * n, n * n
-        )
-        for i, index in enumerate(search):
-            out[index] = _search_radius(g[i], g_inv[i], lattice[i], rp.rho)
+    if not search:
+        return out
+    n = gs.shape[1]
+    if n == 2:
+        rows = gs[search].tolist()
+        for index, g in zip(search, rows):
+            out[index] = _gauss_radius(g, dets[index], rp.rho)
+        return out
+    g = gs[search]
+    g_inv = np.linalg.inv(g)
+    g_inv_t = g_inv.swapaxes(1, 2)
+    # kron(a, b)[i n + k, j n + l] = a[i, j] b[k, l]
+    lattice = (g[:, :, None, :, None] * g_inv_t[:, None, :, None, :]).reshape(
+        len(search), n * n, n * n
+    )
+    for i, index in enumerate(search):
+        out[index] = _search_radius(g[i], g_inv[i], lattice[i], rp.rho)
     return out
+
+
+def _gauss_radius(g, det: float, rho: float) -> float:
+    """Discreteness radius of a 2 x 2 conjugator g (rows of floats) of
+    determinant det, in closed form: min(rho, |g v|^2 / det) for the
+    shortest vector g v of the column lattice g Z^2.  Needs rho <= 0.34.
+
+    Proof.  Take gamma in SL(2,Z), gamma != I, with log(g gamma g^{-1}) = X
+    and |X|_F <= rho.  X is traceless, so its eigenvalues are +-mu with
+    2 |mu|^2 <= |X|_F^2 (Schur), and tr gamma = 2 cosh(mu) lies strictly
+    between 2 cos(0.34 / sqrt 2) > 1 and 2 cosh(0.34 / sqrt 2) < 3.  The
+    trace is an integer, so it is 2 and gamma is unipotent:
+    gamma = I + m v (J v)^T with v primitive, m a nonzero integer and J
+    the quarter turn.  Since g^T J g = det(g) J, conjugation gives
+    g gamma g^{-1} = I + N with N = m (g v)(J g v)^T / det(g).  N^2 = 0, so
+    N is the exact log, of Frobenius norm |m| |g v|^2 / det(g).  The least
+    such norm takes m = 1 and the shortest lattice vector, and that element
+    lies in the lattice, so the radius is min(rho, lambda_1^2 / det g).
+    Dividing by det keeps the value a function of the conjugated lattice,
+    which scaling g does not change.
+
+    Lagrange-Gauss reduction finds the shortest vector: reduce the longer
+    column against the shorter, swap, and stop once the reduced one is no
+    shorter.  The squared length of the shorter column drops at every
+    swap, so it terminates; a cap of 256 steps (_lll_reduce's 64 d^2 at
+    dimension 2) backstops float round-off.
+    """
+    (a, b), (c, d) = g
+    uu = a * a + c * c
+    vv = b * b + d * d
+    if uu > vv:
+        a, b, c, d, uu = b, a, d, c, vv
+    for _ in range(256):
+        m = round((a * b + c * d) / uu)
+        b -= m * a
+        d -= m * c
+        vv = b * b + d * d
+        if vv >= uu:
+            break
+        a, b, c, d, uu = b, a, d, c, vv
+    return min(rho, uu / det)
 
 
 def _search_radius(g, g_inv, lattice, rho: float) -> float:

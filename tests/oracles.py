@@ -219,30 +219,3 @@ def diagonal_ad_norm(diag_entries: np.ndarray) -> float:
         raise ValueError("diagonal entries must be nonzero")
     return float(d.max() / d.min())
 
-
-def gauss_radius(g: np.ndarray, rho: float) -> float:
-    """Discreteness radius of a determinant-one 2 x 2 conjugator in closed
-    form: min(rho, lambda_1(g Z^2)^2), valid for rho <= 0.34.
-
-    A log-norm |X|_F <= rho puts the eigenvalues of X at +-mu with
-    |mu| <= rho / sqrt(2), so tr gamma lies strictly between 1 and 3 and
-    gamma is unipotent: gamma = I + m v (J v)^T with v primitive and J the
-    quarter turn.  Then log(g gamma g^-1) = m (g v)(J g v)^T, because
-    det g = 1, and its Frobenius norm is |m| |g v|^2; the least one is the
-    squared shortest vector of the column lattice of g.  Lagrange-Gauss
-    reduction finds that vector exactly.
-    """
-    u = [float(x) for x in g[:, 0]]
-    v = [float(x) for x in g[:, 1]]
-
-    def dot(a, b):
-        return a[0] * b[0] + a[1] * b[1]
-
-    if dot(u, u) > dot(v, v):
-        u, v = v, u
-    while True:
-        m = round(dot(u, v) / dot(u, u))
-        v = [v[0] - m * u[0], v[1] - m * u[1]]
-        if dot(v, v) >= dot(u, u):
-            return min(rho, dot(u, u))
-        u, v = v, u

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,11 @@ from thinpart.harness.config import (
     derive_group,
     load_config,
 )
+import thinpart
 from thinpart import slgroup
 from thinpart.harness.experiments import (
+    _TAG_DRIFT,
+    _TAG_DRIFT_BASE,
     _TAG_WALK,
     _WALK_BLOCK,
     InsufficientDataError,
@@ -28,6 +35,7 @@ from thinpart.harness.experiments import (
     run_integrability,
     run_key_inequality,
     run_stationary_bound,
+    sample_base_conjugator,
 )
 from thinpart.harness.report import (
     ExperimentReport,
@@ -350,6 +358,29 @@ class TestRunners:
         assert nones and rep.summary["cap_incidents"] == len(nones)
         assert all(not kept for t, r, kept in rep.samples if r is None)
 
+    def test_drift_cap_error_is_the_first_stepwise_one(self, monkeypatch):
+        # key-inequality stacks base 0's steps and then the base itself; it
+        # raises the EnumerationCapError that scalar radii in that order meet
+        # first (windows 64 for the first step, 1 for the base at this seed)
+        monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", 0)
+        sp, rp = derive_group(_SMALL)
+        g = sample_base_conjugator(2, np.random.default_rng([_SMALL.seed, _TAG_DRIFT_BASE, 0]))
+        steps = [
+            mu_s_draw(sp, np.random.default_rng([_SMALL.seed, _TAG_DRIFT, i])) @ g
+            for i in range(_SMALL.n_mc_samples)
+        ]
+        required = None
+        for m in steps + [g]:
+            try:
+                discreteness_radius(m, rp)
+            except EnumerationCapError as exc:
+                required = exc.required
+                break
+        with pytest.raises(EnumerationCapError) as info:
+            run_key_inequality(_SMALL, p_hat=0.88)
+        assert required is not None
+        assert (info.value.required, info.value.cap) == (required, 0)
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self):
@@ -369,6 +400,16 @@ class TestDeterminism:
         base = run_expansion_probability(_SMALL)
         moved = run_expansion_probability(dataclasses.replace(_SMALL, seed=1))
         assert base.samples != moved.samples
+
+    def test_harness_import_leaves_out_multiprocessing(self):
+        # the process pool is imported only when workers > 1
+        src = str(Path(thinpart.__file__).resolve().parents[1])
+        code = "import sys, thinpart.harness; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCli:

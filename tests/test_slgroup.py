@@ -12,7 +12,6 @@ from oracles import (
     ball_points,
     diagonal_ad_norm,
     entry_window,
-    gauss_radius,
     lattice_candidates,
     mu_s_draw,
     op_norm,
@@ -30,9 +29,11 @@ from thinpart.slgroup import (
     ZASSENHAUS_RADIUS,
     _conjugate_log_norm,
     _entry_bounds,
+    _gauss_radius,
     _int_det,
     _lll_reduce,
     _search_ball,
+    _search_radius,
     discreteness_radii,
     discreteness_radius,
     expanding_element,
@@ -332,6 +333,30 @@ class TestLatticeReduction:
         assert set(got) == brute
 
 
+@functools.lru_cache(maxsize=None)
+def _box_oracle_cases():
+    """(g, rho, box minimum) at a loose rho and at the default config's
+    rho ~ 0.0062 with the conditioning its base draws reach; the box
+    minimum is the least log-norm over the exhaustive entry window."""
+    inputs = [(0.3, 1.5, 10.0, 39, 30), (_DEFAULT_RP.rho, 1e2, 3e3, 41, 24)]
+    cases = []
+    for rho, cond_low, cond_high, tag, count in inputs:
+        for case in range(count):
+            rng = np.random.default_rng([tag, case])
+            g = sample_base_conjugator(2, rng, cond_low=cond_low, cond_high=cond_high)
+            g_inv = np.linalg.inv(g)
+            best = rho
+            for gamma in lattice_candidates(g, rho):
+                try:
+                    value = frobenius(mat_log(g @ gamma.astype(float) @ g_inv))
+                except LogDomainError:
+                    continue
+                if value <= rho:
+                    best = min(best, value)
+            cases.append((g, rho, best))
+    return cases
+
+
 class TestDiscretenessRadius:
     def test_identity_model_sits_at_ceiling(self):
         assert discreteness_radius(np.eye(2), _LOOSE_RP) == _LOOSE_RP.rho
@@ -368,31 +393,24 @@ class TestDiscretenessRadius:
         assert nontrivial >= 5  # the sweep must exercise real candidates
 
     def test_box_oracle_agreement_is_exact(self):
-        # dual route: exhaustive box enumeration + the same log-norm formula,
-        # at a loose rho and at the default config's rho ~ 0.0062 with the
-        # conditioning its base draws reach
-        default_rp = radius_params(expanding_element(2, 55.0, math.exp(-1.0)))
-        inputs = [
-            (RadiusParams(R=0.34, rho=0.3), 1.5, 10.0, 39, 30),
-            (default_rp, 1e2, 3e3, 41, 24),
-        ]
+        # dual route to the general search kernel: exhaustive box
+        # enumeration + the same log-norm formula; the box route is complete
+        # at rho, so the minima agree exactly
         nontrivial = 0
-        for rp, cond_low, cond_high, tag, count in inputs:
-            for case in range(count):
-                rng = np.random.default_rng([tag, case])
-                g = sample_base_conjugator(2, rng, cond_low=cond_low, cond_high=cond_high)
-                g_inv = np.linalg.inv(g)
-                best = rp.rho
-                for gamma in lattice_candidates(g, rp.rho):
-                    try:
-                        value = frobenius(mat_log(g @ gamma.astype(float) @ g_inv))
-                    except LogDomainError:
-                        continue
-                    if value <= rp.rho:
-                        best = min(best, value)
-                # the box route is complete at rho, so the minima agree exactly
-                assert discreteness_radius(g, rp) == best
-                nontrivial += best < rp.rho
+        for g, rho, best in _box_oracle_cases():
+            g_inv = np.linalg.inv(g)
+            assert _search_radius(g, g_inv, np.kron(g, g_inv.T), rho) == best
+            nontrivial += best < rho
+        assert nontrivial >= 20
+
+    def test_closed_form_matches_box_oracle(self):
+        # the n = 2 production path takes lambda_1^2 from g directly, not
+        # through the log of a conjugated matrix, so it agrees to round-off
+        nontrivial = 0
+        for g, rho, best in _box_oracle_cases():
+            got = discreteness_radius(g, RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho))
+            assert abs(got / best - 1.0) <= 1e-10
+            nontrivial += best < rho
         assert nontrivial >= 20
 
     @pytest.mark.parametrize("rho", [0.3, 0.05])
@@ -430,7 +448,8 @@ class TestDiscretenessRadius:
 
         monkeypatch.setattr(slgroup, "_search_ball", recording)
         rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
-        discreteness_radius(np.diag([2.0, 0.5]), rp)
+        # n = 3: the n = 2 closed form never searches
+        discreteness_radius(np.diag([2.0, 1.0, 0.5]), rp)
         assert len(seen) == 1 and seen[0] < 0.5
 
     def test_rho_above_zassenhaus_rejected(self):
@@ -526,7 +545,8 @@ class TestStacked:
 
 
 class TestGaussOracle:
-    """n = 2 closed form: the radius is min(rho, lambda_1(g Z^2)^2)."""
+    """n = 2 closed form min(rho, lambda_1(g Z^2)^2) against the general
+    search kernel, which stays as its oracle."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -540,14 +560,18 @@ class TestGaussOracle:
         rng = np.random.default_rng([47, seed])
         g = sample_base_conjugator(2, rng, cond_low=cond, cond_high=cond)
         rotated = haar_orthogonal(2, rng) @ g
-        want = gauss_radius(g, rho)
-        assert abs(gauss_radius(rotated, rho) / want - 1.0) <= 1e-12
-        assert abs(discreteness_radius(g, rp) / want - 1.0) <= 1e-9
-        for got in discreteness_radii(np.stack([g, rotated]), rp):
-            assert abs(got / want - 1.0) <= 1e-9
+        g_inv = np.linalg.inv(g)
+        want = _search_radius(g, g_inv, np.kron(g, g_inv.T), rho)
+        got = discreteness_radius(g, rp)
+        assert abs(got / want - 1.0) <= 1e-9
+        assert abs(discreteness_radius(rotated, rp) / got - 1.0) <= 1e-12
+        for stacked in discreteness_radii(np.stack([g, rotated]), rp):
+            assert abs(stacked / want - 1.0) <= 1e-9
 
     def test_oracle_on_the_cusp_ray_and_identity(self):
-        assert gauss_radius(np.eye(2), 0.3) == 0.3
+        assert _gauss_radius(np.eye(2).tolist(), 1.0, 0.3) == 0.3
         for y in (10.0, 1e3, 1e5):
-            got = gauss_radius(np.diag([y**-0.5, y**0.5]), 0.3)
-            assert got == pytest.approx(1.0 / y, rel=1e-15)
+            g = np.diag([y**-0.5, y**0.5])
+            assert _gauss_radius(g.tolist(), 1.0, 0.3) == pytest.approx(1.0 / y, rel=1e-15)
+            rp = RadiusParams(R=0.35, rho=0.3)
+            assert discreteness_radius(g, rp) == pytest.approx(1.0 / y, rel=1e-15)
