@@ -11,18 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "LogDomainError",
     "Subspace",
     "frobenius",
     "haar_orthogonal",
     "haar_rotations",
-    "mat_log",
     "hadamard_bound",
 ]
-
-
-class LogDomainError(ValueError):
-    """Matrix logarithm requested outside the series-convergence ball."""
 
 
 def frobenius(x: np.ndarray) -> float:
@@ -74,35 +68,6 @@ def haar_rotations(z: np.ndarray) -> np.ndarray:
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     q[..., -1] *= np.sign(np.linalg.det(q))[..., None]
     return q
-
-
-def mat_log(m: np.ndarray) -> np.ndarray:
-    """Principal logarithm for ||M - I||_F <= 1/2, by the Mercator series.
-
-    log(I + E) = sum_{k >= 1} (-1)^{k+1} E^k / k, summed to the smallest K
-    with t^K <= 2^-55, t = ||E||_F.  For t <= 1/2 the tail is at most
-    t^{K+1} / ((K+1)(1-t)) <= 2^-54 t, while ||log M||_F >= t - t^2/(2(1-t))
-    >= t/2, so the tail sits below an ulp of ||log M||_F.  K is 8 at
-    t = 0.0062 and 55 at t = 1/2.  The sum stops early once a power of E
-    is exactly zero (nilpotent E, as for unipotent M).
-    """
-    m = np.asarray(m, dtype=float)
-    e = m - np.eye(m.shape[0])
-    t = frobenius(e)
-    if not t <= 0.5:
-        raise LogDomainError(f"||M - I||_F = {t:.6f} is outside the ball of radius 1/2")
-    out = np.zeros_like(e)
-    power = np.eye(m.shape[0])
-    k = 0
-    t_k = 1.0
-    while t_k > 2.0**-55:
-        k += 1
-        power = power @ e
-        if not power.any():
-            break
-        out = out + ((-1.0) ** (k + 1) / k) * power
-        t_k *= t
-    return out
 
 
 def hadamard_bound(a: np.ndarray) -> float:

@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LogDomainError, frobenius, haar_rotations, mat_log
+from .linalg import frobenius, haar_rotations
 from .rootdata import group_constants
 
-# Search radius for discreteness.  Any value below ln(2)/2 keeps the
-# principal matrix log well defined and injective on the search ball even
-# after a further doubling, so the radius computation stays sound.  At
-# n = 2, 2 cosh(0.34 / sqrt 2) < 3 makes every lattice element of
-# log-norm at most 0.34 unipotent, which _gauss_radius's closed form
-# needs; at n >= 3, 0.34 e^0.34 < 1/2 keeps the padded search ball inside
-# mat_log's domain.
+# Search radius for discreteness.  Every lattice element of log-norm at
+# most rho is unipotent while K^2 rho^2 e^{K rho} / 2 < 1 with
+# K = ceil((n - 1) / 2) (_unipotent_log_norm); at 0.34 that holds for
+# every n <= 5.
 ZASSENHAUS_RADIUS = 0.34
 
 # Ceiling on the integer entry window a radius search may request.
@@ -300,15 +297,40 @@ def _search_ball(rmat: np.ndarray, radius: float, confirm) -> None:
     descend(d - 1, 0.0, [0.0] * d)
 
 
-def _conjugate_log_norm(g, g_inv, gamma, cap: float):
-    # None when the candidate certifiably lies outside the cap: mat_log
-    # refuses |M - I|_F > 1/2, while |X|_F <= cap <= ZASSENHAUS_RADIUS gives
-    # |e^X - I|_F <= cap e^cap < 1/2, so such an M has log-norm above cap.
-    try:
-        value = frobenius(mat_log(g @ gamma @ g_inv))
-    except LogDomainError:
-        return None
-    return value if value <= cap else None
+def _unipotent_log_norm(g, g_inv, nil):
+    """|log(g gamma g^{-1})|_F for gamma = I + nil, nil an integer matrix,
+    or None when gamma is not unipotent.
+
+    The test nil^n = 0 runs in python ints, whose powers cannot overflow.
+    For nilpotent nil the log is the finite sum
+    L = sum_{k<n} (-1)^{k+1} nil^k / k, so the value is |g L g^{-1}|_F.
+
+    Only unipotent gamma have log-norm at most rho once
+    K^2 rho^2 e^{K rho} / 2 < 1, K = ceil((n - 1) / 2), which
+    discreteness_radii enforces.  Take g gamma g^{-1} = e^X with
+    |X|_F <= rho.  X is real with det e^X = 1, so its eigenvalues mu_i sum
+    to 0, and sum |mu_i|^2 <= rho^2 (Schur).  So
+    tr gamma^k - n = sum_i (e^{k mu_i} - 1 - k mu_i) is at most
+    k^2 rho^2 e^{|k| rho} / 2 < 1 in modulus for |k| <= K, and the integer
+    tr gamma^{+-k} equals n.  Newton's identities turn the power sums of
+    gamma and of gamma^{-1} into the coefficients e_1 .. e_K and, as
+    e_j(gamma^{-1}) = e_{n-j}(gamma) when det gamma = 1, e_{n-K} .. e_{n-1}.
+    With e_n = det gamma = 1 and 2K >= n - 1 these are all of them, and
+    they equal those of the identity, so the characteristic polynomial is
+    (x - 1)^n.  _gauss_radius is the K = 1 case.
+    """
+    n = len(nil)
+    power = [[int(v) for v in row] for row in nil]
+    columns = list(zip(*power))
+    log = np.zeros((n, n))
+    for k in range(1, n + 1):
+        if not any(map(any, power)):
+            break
+        if k == n:
+            return None
+        log += ((-1.0) ** (k + 1) / k) * np.array(power, dtype=float)
+        power = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in power]
+    return frobenius(g @ log @ g_inv)
 
 
 def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
@@ -321,8 +343,10 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     integer point of the lattice spanned by kron(g, g^{-T}) inside that
     ball.  The ball is searched completely (LLL-reduced basis, then a
     triangular search), so no qualifying element can be missed; a small
-    inflation of the radius covers search round-off, and every hit is
-    confirmed against the exact log-norm.  Each confirmed hit of log-norm
+    inflation of the radius covers search round-off.  Every hit must be
+    unipotent, since no other element reaches log-norm rho, and its
+    log-norm is a finite nilpotent sum (_unipotent_log_norm, whose
+    docstring holds the proof).  Each confirmed hit of log-norm
     v below the best so far shrinks the ball to the padded v e^v: every
     element of log-norm at most v still lies inside, so the minimiser is
     still found and the result is the same as over the full ball.  Raises
@@ -345,33 +369,36 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     An entry whose entry window exceeds DEFAULT_ENTRY_CAP holds its
     EnumerationCapError in place of a radius, so a caller can tolerate
     such entries one at a time; an invalid entry (not finite, not
-    invertible, determinant off 1) raises ValueError for the whole stack.
+    invertible, determinant off 1) raises ValueError for the whole stack,
+    as does a rho too large for every element of log-norm at most rho to
+    be unipotent: rho > ZASSENHAUS_RADIUS or K^2 rho^2 e^{K rho} / 2 >= 1
+    with K = ceil((n - 1) / 2), which at rho = 0.34 refuses n >= 6.
     The front end runs once per stack and for every n: the entry-bound
-    SVDs, the cap check, the determinants and the rho shortcut of entries
+    SVDs, the determinants, the cap check and the rho shortcut of entries
     whose window is empty.  The entries left over take _gauss_radius at
     n = 2; at n >= 3 they take the inverses and the kron(g, g^{-T})
     lattices, broadcast as plain products, and then _search_radius.  Each
     stacked piece is bit-identical to its one-matrix form, so every entry
     equals discreteness_radius of its matrix.
     """
-    if rp.rho > ZASSENHAUS_RADIUS:
-        # _gauss_radius needs rho <= 0.34, and the discard rule in
-        # _conjugate_log_norm needs rho e^rho < 1/2.
-        raise ValueError(f"rho must not exceed {ZASSENHAUS_RADIUS}, got {rp.rho}")
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
         raise ValueError(f"conjugators must be a stack of square matrices, got shape {gs.shape}")
+    n = gs.shape[1]
+    k_max = n // 2  # ceil((n - 1) / 2)
+    if rp.rho > ZASSENHAUS_RADIUS or (k_max * rp.rho) ** 2 * math.exp(k_max * rp.rho) / 2 >= 1.0:
+        raise ValueError(f"rho = {rp.rho} is too large for the unipotence bound at n = {n}")
     if not np.isfinite(gs).all():
         raise ValueError("conjugator entries must be finite")
     out = []
     search = []
     dets = np.linalg.det(gs).tolist()
     for index, (needed, det) in enumerate(zip(_entry_bounds(gs, rp.rho), dets)):
+        if abs(det - 1.0) > 1e-10:
+            raise ValueError("conjugator must have determinant 1")
         if needed > DEFAULT_ENTRY_CAP:
             out.append(EnumerationCapError(required=needed, cap=DEFAULT_ENTRY_CAP))
             continue
-        if abs(det - 1.0) > 1e-10:
-            raise ValueError("conjugator must have determinant 1")
         # needed == 0 means cond(g) rho e^rho < 1, while any nonzero
         # integer C has |g C g^{-1}|_F >= |C|_F / cond(g) >= 1 / cond(g):
         # nothing to scan
@@ -380,7 +407,6 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
             search.append(index)
     if not search:
         return out
-    n = gs.shape[1]
     if n == 2:
         rows = gs[search].tolist()
         for index, g in zip(search, rows):
@@ -404,10 +430,8 @@ def _gauss_radius(g, det: float, rho: float) -> float:
     shortest vector g v of the column lattice g Z^2.  Needs rho <= 0.34.
 
     Proof.  Take gamma in SL(2,Z), gamma != I, with log(g gamma g^{-1}) = X
-    and |X|_F <= rho.  X is traceless, so its eigenvalues are +-mu with
-    2 |mu|^2 <= |X|_F^2 (Schur), and tr gamma = 2 cosh(mu) lies strictly
-    between 2 cos(0.34 / sqrt 2) > 1 and 2 cosh(0.34 / sqrt 2) < 3.  The
-    trace is an integer, so it is 2 and gamma is unipotent:
+    and |X|_F <= rho.  Then |tr gamma - 2| <= rho^2 e^rho / 2 < 1, so the
+    integer trace is 2 and gamma is unipotent (_unipotent_log_norm, K = 1):
     gamma = I + m v (J v)^T with v primitive, m a nonzero integer and J
     the quarter turn.  Since g^T J g = det(g) J, conjugation gives
     g gamma g^{-1} = I + N with N = m (g v)(J g v)^T / det(g).  N^2 = 0, so
@@ -445,14 +469,10 @@ def _search_radius(g, g_inv, lattice, rho: float) -> float:
     reduced, transform = _lll_reduce(lattice)
     rmat = np.linalg.qr(reduced, mode="r")
     best = rho
-    eye = np.eye(n, dtype=np.int64)
 
     def confirm(y):
         nonlocal best
-        gamma = eye + (transform @ y).reshape(n, n)
-        if _int_det(gamma) != 1:
-            return None
-        value = _conjugate_log_norm(g, g_inv, gamma, rho)
+        value = _unipotent_log_norm(g, g_inv, (transform @ y).reshape(n, n))
         if value is None or value >= best:
             return None
         best = value

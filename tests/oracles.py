@@ -1,7 +1,9 @@
 """Brute-force references that tests compare the library against.
 
 Each one reaches its answer by a route independent of the code under test:
-exhaustive integer windows for the discreteness radius, minors for wedge
+exhaustive integer windows for the discreteness radius (every n = 2
+candidate, and every n = 3 one within entry window 2 with log-norms from
+scipy's logm), the Mercator-series matrix log, minors for wedge
 norms, explicit roots for the type-A constants, and the adjoint action
 as an explicit matrix on sl(n), whose spectral norm checks the closed-form
 Ad norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
@@ -11,12 +13,14 @@ enumeration of the ball that never shrinks it.  A mu_s draw keeps its
 plain form too: two Haar rotations around s_lambda, one after the other.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
-from thinpart.linalg import haar_orthogonal
+from thinpart.linalg import frobenius, haar_orthogonal
 
 
 def mu_s_draw(sp, rng: np.random.Generator) -> np.ndarray:
@@ -60,6 +64,80 @@ def lattice_candidates(conjugator: np.ndarray, r: float) -> list:
                 if abs(d - 1) > bound or (a, b, c, d) == (1, 0, 0, 1):
                     continue
                 out.append(np.array([[a, b], [c, d]], dtype=np.int64))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def sl3_window(w: int) -> np.ndarray:
+    """Every gamma in SL(3,Z), gamma != I, with |gamma_ij - delta_ij| <= w,
+    for w <= 2: all (2w + 1)^9 integer matrices I + C, about 2 10^6 at
+    w = 2.  The determinant expands along the first row, one product of
+    the (2w + 1)^3 first rows with the cofactors of the (2w + 1)^6 lower
+    two-row blocks."""
+    if not 0 <= w <= 2:
+        raise ValueError(f"the n = 3 window scan is written for w <= 2, got {w}")
+    side = 2 * w + 1
+    rows = np.indices((side,) * 3).reshape(3, -1).T - w
+    lower = np.indices((side,) * 6).reshape(6, -1).T - w
+    first = rows + np.array([1, 0, 0])
+    (d, e, f), (p, h, i) = (lower[:, :3] + [0, 1, 0]).T, (lower[:, 3:] + [0, 0, 1]).T
+    cofactors = np.stack([e * i - f * h, f * p - d * i, d * h - e * p], axis=1)
+    a, b = np.nonzero(first @ cofactors.T == 1)
+    gammas = np.concatenate([first[a], lower[b] + [0, 1, 0, 0, 0, 1]], axis=1)
+    identity = (gammas == [1, 0, 0, 0, 1, 0, 0, 0, 1]).all(axis=1)
+    window = gammas[~identity].reshape(-1, 3, 3)
+    window.setflags(write=False)  # cached: every caller shares it
+    return window
+
+
+def sl3_window_radius(g: np.ndarray, rho: float) -> float:
+    """Least |logm(g gamma g^{-1})|_F <= rho over sl3_window(entry_window(g,
+    rho)), else rho.  Complete for log-norm <= rho: every such element
+    lies in the window and has |M - I|_F <= rho e^rho < 2 rho."""
+    if np.shape(g) != (3, 3):
+        raise ValueError("the n = 3 window scan is written for 3 x 3 conjugators")
+    if not 0.0 < rho < math.log(2.0):
+        raise ValueError(f"rho must lie in (0, ln 2), got {rho}")
+    conj = g @ sl3_window(entry_window(g, rho)) @ np.linalg.inv(g)
+    near = np.sqrt(((conj - np.eye(3)) ** 2).sum(axis=(1, 2))) <= 2.0 * rho
+    best = rho
+    for m in conj[near]:
+        log = scipy.linalg.logm(m)
+        if np.abs(np.imag(log)).max() <= 1e-12:
+            best = min(best, float(np.linalg.norm(np.real(log), "fro")))
+    return best
+
+
+class LogDomainError(ValueError):
+    """Matrix logarithm requested outside the series-convergence ball."""
+
+
+def mat_log(m: np.ndarray) -> np.ndarray:
+    """Principal logarithm for ||M - I||_F <= 1/2, by the Mercator series.
+
+    log(I + E) = sum_{k >= 1} (-1)^{k+1} E^k / k, summed to the smallest K
+    with t^K <= 2^-55, t = ||E||_F.  For t <= 1/2 the tail is at most
+    t^{K+1} / ((K+1)(1-t)) <= 2^-54 t, while ||log M||_F >= t - t^2/(2(1-t))
+    >= t/2, so the tail sits below an ulp of ||log M||_F.  K is 8 at
+    t = 0.0062 and 55 at t = 1/2.  The sum stops early once a power of E
+    is exactly zero (nilpotent E, as for unipotent M).
+    """
+    m = np.asarray(m, dtype=float)
+    e = m - np.eye(m.shape[0])
+    t = frobenius(e)
+    if not t <= 0.5:
+        raise LogDomainError(f"||M - I||_F = {t:.6f} is outside the ball of radius 1/2")
+    out = np.zeros_like(e)
+    power = np.eye(m.shape[0])
+    k = 0
+    t_k = 1.0
+    while t_k > 2.0**-55:
+        k += 1
+        power = power @ e
+        if not power.any():
+            break
+        out = out + ((-1.0) ** (k + 1) / k) * power
+        t_k *= t
     return out
 
 

@@ -6,15 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import op_norm, wedge_power
+from oracles import LogDomainError, mat_log, op_norm, wedge_power
 from thinpart.linalg import (
-    LogDomainError,
     Subspace,
     frobenius,
     haar_orthogonal,
     haar_rotations,
     hadamard_bound,
-    mat_log,
 )
 from thinpart.slgroup import ZASSENHAUS_RADIUS
 
@@ -24,7 +22,8 @@ def _rng(index=0):
 
 
 class TestExpLog:
-    """mat_log against scipy; the exponential side of the pair is scipy's expm."""
+    """The Mercator-series oracle mat_log against scipy; the exponential
+    side of the pair is scipy's expm."""
 
     @pytest.mark.parametrize("case", range(40))
     def test_exp_matches_scipy(self, case):

@@ -4,36 +4,40 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    LogDomainError,
     ad_operator,
     ball_points,
     diagonal_ad_norm,
     entry_window,
     lattice_candidates,
+    mat_log,
     mu_s_draw,
     op_norm,
     qr_lll_reduce,
+    sl3_window_radius,
     sl_basis,
 )
-from thinpart import slgroup
+from thinpart.harness.config import ExperimentConfig, derive_group
 from thinpart.harness.experiments import sample_base_conjugator
-from thinpart.linalg import LogDomainError, frobenius, haar_orthogonal, mat_log
+from thinpart.linalg import frobenius, haar_orthogonal
 from thinpart.slgroup import (
     DEFAULT_ENTRY_CAP,
     DegenerateRayError,
     EnumerationCapError,
     RadiusParams,
     ZASSENHAUS_RADIUS,
-    _conjugate_log_norm,
     _entry_bounds,
     _gauss_radius,
     _int_det,
     _lll_reduce,
     _search_ball,
     _search_radius,
+    _unipotent_log_norm,
     discreteness_radii,
     discreteness_radius,
     expanding_element,
@@ -335,9 +339,11 @@ class TestLatticeReduction:
 
 @functools.lru_cache(maxsize=None)
 def _box_oracle_cases():
-    """(g, rho, box minimum) at a loose rho and at the default config's
-    rho ~ 0.0062 with the conditioning its base draws reach; the box
-    minimum is the least log-norm over the exhaustive entry window."""
+    """(g, rho, kernel-log minimum, series-log minimum) at a loose rho and
+    at the default config's rho ~ 0.0062 with the conditioning its base
+    draws reach; each minimum is the least log-norm over the exhaustive
+    entry window, taken with the kernel's nilpotent log and with the
+    Mercator series."""
     inputs = [(0.3, 1.5, 10.0, 39, 30), (_DEFAULT_RP.rho, 1e2, 3e3, 41, 24)]
     cases = []
     for rho, cond_low, cond_high, tag, count in inputs:
@@ -345,15 +351,16 @@ def _box_oracle_cases():
             rng = np.random.default_rng([tag, case])
             g = sample_base_conjugator(2, rng, cond_low=cond_low, cond_high=cond_high)
             g_inv = np.linalg.inv(g)
-            best = rho
+            nilpotent = series = rho
             for gamma in lattice_candidates(g, rho):
+                value = _unipotent_log_norm(g, g_inv, gamma - np.eye(2, dtype=np.int64))
+                if value is not None:
+                    nilpotent = min(nilpotent, value)
                 try:
-                    value = frobenius(mat_log(g @ gamma.astype(float) @ g_inv))
+                    series = min(series, frobenius(mat_log(g @ gamma.astype(float) @ g_inv)))
                 except LogDomainError:
                     continue
-                if value <= rho:
-                    best = min(best, value)
-            cases.append((g, rho, best))
+            cases.append((g, rho, nilpotent, series))
     return cases
 
 
@@ -397,7 +404,7 @@ class TestDiscretenessRadius:
         # enumeration + the same log-norm formula; the box route is complete
         # at rho, so the minima agree exactly
         nontrivial = 0
-        for g, rho, best in _box_oracle_cases():
+        for g, rho, best, _ in _box_oracle_cases():
             g_inv = np.linalg.inv(g)
             assert _search_radius(g, g_inv, np.kron(g, g_inv.T), rho) == best
             nontrivial += best < rho
@@ -407,7 +414,7 @@ class TestDiscretenessRadius:
         # the n = 2 production path takes lambda_1^2 from g directly, not
         # through the log of a conjugated matrix, so it agrees to round-off
         nontrivial = 0
-        for g, rho, best in _box_oracle_cases():
+        for g, rho, _, best in _box_oracle_cases():
             got = discreteness_radius(g, RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho))
             assert abs(got / best - 1.0) <= 1e-10
             nontrivial += best < rho
@@ -419,7 +426,6 @@ class TestDiscretenessRadius:
         # padded rho-ball, none skipped by shrinking; the minima agree exactly
         rp = RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho)
         radius = rho * math.exp(rho) * (1.0 + 1e-9) + 1e-12
-        eye = np.eye(3, dtype=np.int64)
         nontrivial = 0
         for case in range(12):
             rng = np.random.default_rng([43, case])
@@ -428,33 +434,55 @@ class TestDiscretenessRadius:
             reduced, transform = qr_lll_reduce(np.kron(g, g_inv.T))
             best = rho
             for y in ball_points(np.linalg.qr(reduced, mode="r"), radius):
-                gamma = eye + (transform @ y).reshape(3, 3)
-                if _int_det(gamma) == 1:
-                    value = _conjugate_log_norm(g, g_inv, gamma, rho)
-                    if value is not None:
-                        best = min(best, value)
+                value = _unipotent_log_norm(g, g_inv, (transform @ y).reshape(3, 3))
+                if value is not None:
+                    best = min(best, value)
             assert discreteness_radius(g, rp) == best
             nontrivial += best < rho
         assert nontrivial >= 2
 
-    def test_padded_search_ball_stays_in_the_log_domain(self, monkeypatch):
-        # at the largest allowed rho the kernel's padded ball radius, which
-        # bounds |M - I|_F of every candidate, stays inside mat_log's 1/2
-        seen = []
-
-        def recording(rmat, radius, confirm):
-            seen.append(radius)
-            return _search_ball(rmat, radius, confirm)
-
-        monkeypatch.setattr(slgroup, "_search_ball", recording)
+    def test_n3_matches_window_scan(self):
+        # every det-1 matrix of entry window 2 with scipy's logm, which
+        # assumes nothing about unipotence; a-factor cond 2.5-3.5 keeps the
+        # base draws' window at 2
         rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
-        # n = 3: the n = 2 closed form never searches
-        discreteness_radius(np.diag([2.0, 1.0, 0.5]), rp)
-        assert len(seen) == 1 and seen[0] < 0.5
+        nontrivial = 0
+        for case in range(40):
+            rng = np.random.default_rng([49, case])
+            g = sample_base_conjugator(3, rng, cond_low=2.5, cond_high=3.5)
+            want = sl3_window_radius(g, rp.rho)
+            assert abs(discreteness_radius(g, rp) / want - 1.0) <= 1e-12
+            nontrivial += want < rp.rho
+        assert nontrivial >= 20
+
+    def test_unipotent_log_norm(self):
+        # N^3 != 0: the finite sum N - N^2/2 + N^3/3, conjugated, equals
+        # scipy's logm; determinant 1 without unipotence gives None, also
+        # at trace n (the companion matrix of x^3 - 3x^2 - 1)
+        g = sample_base_conjugator(4, np.random.default_rng(50), cond_low=2.0, cond_high=5.0)
+        g_inv = np.linalg.inv(g)
+        nil = np.triu(np.arange(1, 17).reshape(4, 4), 1)
+        want = frobenius(scipy.linalg.logm(g @ (np.eye(4) + nil) @ g_inv))
+        assert _unipotent_log_norm(g, g_inv, nil) == pytest.approx(want, rel=1e-12)
+        for gamma in ([[2, 1], [1, 1]], [[0, -1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 3]]):
+            n = len(gamma)
+            nil = np.array(gamma) - np.eye(n, dtype=np.int64)
+            assert _unipotent_log_norm(np.eye(n), np.eye(n), nil) is None
 
     def test_rho_above_zassenhaus_rejected(self):
         with pytest.raises(ValueError):
             discreteness_radius(np.eye(2), RadiusParams(R=0.5, rho=0.4))
+
+    def test_rho_past_the_unipotence_bound_rejected(self):
+        # K = ceil((n - 1) / 2) is 2 up to n = 5 and 3 at n = 6, where
+        # K^2 rho^2 e^{K rho} / 2 = 1.44 >= 1 at rho = 0.34
+        rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
+        with pytest.raises(ValueError, match="unipotence"):
+            discreteness_radius(np.eye(6), rp)
+        for n in (3, 4, 5):
+            assert discreteness_radius(np.eye(n), rp) == rp.rho
+        _, rp6 = derive_group(ExperimentConfig(group_n=6, eps_grid=(1e-12,)))
+        assert discreteness_radius(np.eye(6), rp6) == rp6.rho
 
     def test_invalid_conjugator_rejected(self):
         for g in (np.eye(3)[:2], np.diag([np.nan, 1.0]), np.diag([2.0, 1.0])):
@@ -537,6 +565,9 @@ class TestStacked:
         stack = np.stack([np.eye(2), np.diag([2.0, 1.0]), np.diag([0.1, 10.0])])
         with pytest.raises(ValueError, match="determinant 1"):
             discreteness_radii(stack, _LOOSE_RP)
+        # the determinant is checked before the entry cap
+        with pytest.raises(ValueError, match="determinant 1"):
+            discreteness_radii(np.diag([1e-4, 2e4])[None], RadiusParams(R=0.35, rho=0.3))
 
     def test_stacked_rejects_bad_shapes(self):
         for gs in (np.eye(2), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan)):
