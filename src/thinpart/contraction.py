@@ -15,13 +15,11 @@ from dataclasses import dataclass
 __all__ = [
     "BalanceError",
     "ContractionParams",
-    "AsymptoticParams",
     "balance_holds",
     "phi",
     "delta_opt",
     "contraction_constants",
     "markov_superlevel_bound",
-    "delta_asymptotic",
 ]
 
 
@@ -119,46 +117,3 @@ def markov_superlevel_bound(c: float, b: float, m: float) -> float:
     if not b > 0 or not m > 0:
         raise ValueError("b and M must be positive")
     return b / ((1 - c) * m)
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Large-parameter model a2 = a0 lam^-h, p = 1 - zeta lam^-alpha."""
-
-    h: float
-    alpha: float
-    zeta: float
-    a0: float
-
-    def __post_init__(self):
-        for name in ("h", "alpha", "zeta", "a0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def delta_asymptotic(ap: AsymptoticParams, lam: float) -> float | None:
-    """Optimal exponent along the ray a2 = a0 lam^-h, p = 1 - zeta lam^-alpha.
-
-    a1 is pinned at 2.  Returns None while lam is not yet large enough for
-    the triple to be balanced (or even admissible); that is a signal, not a
-    failure.  None never stands for float cancellation or underflow: the
-    closed form of delta_opt is evaluated from L = ln lam, with
-    q = 1 - p = zeta lam^-alpha kept in log space, so p is never formed.
-
-    The limit of the returned values as lam grows is alpha / h, approached
-    from below at rate ln ln lam / ln lam; for zeta = a0 = 1,
-        alpha/h - delta ~ (ln(h L / ln 2) + alpha ln 2 / h) / (h L + ln 2),
-    which is still 0.115 (h = 2) and 0.208 (h = 1) at lam = 1e8.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    big_l = math.log(lam)
-    log_inv_a2 = ap.h * big_l - math.log(ap.a0)
-    log_q = math.log(ap.zeta) - ap.alpha * big_l
-    if not (log_inv_a2 > 0 and log_q < 0):
-        return None
-    q = math.exp(log_q)
-    ln2 = math.log(2.0)
-    if not q * log_inv_a2 < (1 - q) * ln2:
-        return None
-    return -(log_q - math.log1p(-q) + math.log(log_inv_a2 / ln2)) / (ln2 + log_inv_a2)

@@ -17,7 +17,6 @@ from .linalg import Subspace
 __all__ = [
     "SplitSpace",
     "split_from_basis",
-    "q_of_subspace",
     "check_projection_bound",
     "check_bijection_contraction",
 ]
@@ -67,21 +66,14 @@ def _restricted_singular_values(ss: SplitSpace, w: Subspace) -> np.ndarray:
     return np.linalg.svd(ss.proj_u @ w.basis, compute_uv=False)
 
 
-def q_of_subspace(ss: SplitSpace, w: Subspace) -> float:
-    """sup over unit tuples (w_1 .. w_l) in W of ||P w_1 ^ ... ^ P w_l||.
-
-    The supremum is attained on an orthonormal basis of W, where it equals
-    the product of singular values of P restricted to W: a unit tuple
-    w_i = B c_i scales that value by |det C| <= 1 (Hadamard).  Always <= 1
-    for an orthogonal projection.
-    """
-    return float(np.prod(_restricted_singular_values(ss, w)))
-
-
 def check_projection_bound(ss: SplitSpace, w: Subspace) -> tuple:
     """Verify inf ||P w|| / ||w|| >= q(W); returns (holds, slack).
 
-    Valid for orthogonal splits, so P is required to be symmetric.
+    q(W), the sup over unit tuples (w_1 .. w_l) in W of
+    ||P w_1 ^ ... ^ P w_l||, is the product of the singular values of P
+    restricted to W: it is attained on an orthonormal basis of W, and a
+    unit tuple w_i = B c_i scales it by |det C| <= 1 (Hadamard).  Valid for
+    orthogonal splits, so P is required to be symmetric.
     """
     if np.abs(ss.proj_u - ss.proj_u.T).max() > 1e-10:
         raise ValueError("projection bound requires an orthogonal split")

@@ -166,28 +166,6 @@ def _entry_bounds(gs: np.ndarray, r: float) -> list:
     return bounds
 
 
-def _int_det(mat: np.ndarray) -> int:
-    # Fraction-free elimination over python ints; exact for any size here.
-    a = [[int(v) for v in row] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # Lovasz constant of the LLL exchange test.
 _LLL_DELTA = 0.75
 
@@ -441,11 +419,21 @@ def _gauss_radius(g, det: float, rho: float) -> float:
     Dividing by det keeps the value a function of the conjugated lattice,
     which scaling g does not change.
 
-    Lagrange-Gauss reduction finds the shortest vector: reduce the longer
-    column against the shorter, swap, and stop once the reduced one is no
-    shorter.  The squared length of the shorter column drops at every
-    swap, so it terminates; a cap of 256 steps (_lll_reduce's 64 d^2 at
-    dimension 2) backstops float round-off.
+    _gauss_reduce finds the shortest vector.
+    """
+    (a, _), (c, _) = _gauss_reduce(g)
+    return min(rho, (a * a + c * c) / det)
+
+
+def _gauss_reduce(g):
+    """Lagrange-Gauss reduced basis of the column lattice g Z^2, g rows of
+    floats; returned in the same form, shortest column first.
+
+    Reduce the longer column against the shorter, swap, and stop once the
+    reduced one is no shorter.  The squared length of the shorter column
+    drops at every swap, so it terminates; a cap of 256 reductions, the
+    64 d^2 iterations that _lll_reduce allows at d = 2, each one a size
+    reduction and a swap there, backstops float round-off.
     """
     (a, b), (c, d) = g
     uu = a * a + c * c
@@ -460,7 +448,7 @@ def _gauss_radius(g, det: float, rho: float) -> float:
         if vv >= uu:
             break
         a, b, c, d, uu = b, a, d, c, vv
-    return min(rho, uu / det)
+    return [[a, b], [c, d]]
 
 
 def _search_radius(g, g_inv, lattice, rho: float) -> float:
@@ -483,20 +471,35 @@ def _search_radius(g, g_inv, lattice, rho: float) -> float:
 
 
 def reduced_conjugator(g: np.ndarray) -> np.ndarray:
-    """Numerically tame representative of the same conjugated lattice.
+    """Numerically tame representative of the same conjugated lattice: the
+    upper triangle R with positive diagonal and determinant 1 in
+    g u = Q R det(g u)^{1/n}, for u in GL(n,Z) that reduces the columns of g.
 
-    Right-multiplying by an integer matrix of determinant 1 fixes
-    g SL(n,Z) g^{-1}; left-multiplying by a rotation fixes every log-norm.
-    Both are applied, then the determinant is renormalized to 1 (scalars
-    act trivially on conjugation).
+    u normalises SL(n,Z), so g u SL(n,Z) u^{-1} g^{-1} = g SL(n,Z) g^{-1};
+    Q is orthogonal and X -> Q^T X Q fixes every Frobenius norm; scalars
+    act trivially on conjugation.  So R has the radius of g.  No sign fix
+    makes det u = +1: Q may then be a reflection, which fixes every
+    log-norm too.  A walk that drops such a Q keeps its radii's law,
+    because mu_s is invariant in law under conjugation by O(n): write
+    Q = k P with k in SO(n) and P a diagonal reflection; P s_lambda P^T is
+    s_lambda, conjugation by P maps Haar measure on SO(n) to itself, and
+    k is absorbed into the Haar rotations k1 and k2.
+
+    At n = 2, u is the Lagrange-Gauss reduction (_gauss_reduce), in python
+    floats: with shortest column v = (a, c), second column (b, d) and
+    s = sqrt|ad - bc|, R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].  The
+    columns of R are then still reduced: |r12| <= r11 / 2 and
+    r11^2 <= r12^2 + r22^2.  At n >= 3, u is the LLL reduction and R comes
+    from a QR of the reduced basis, its diagonal made positive; |det(g u)|
+    is then the product of that diagonal.
     """
     g = np.asarray(g, dtype=float)
-    _, u = _lll_reduce(g)
-    if _int_det(u) == -1:
-        u[:, 0] = -u[:, 0]
-    tight = g @ u
-    r = np.linalg.qr(tight, mode="r")
-    signs = np.sign(np.diag(r))
-    r = r * signs[:, None]
-    det = float(np.linalg.det(r))
-    return r / det ** (1.0 / g.shape[0])
+    if g.shape == (2, 2):
+        (a, b), (c, d) = _gauss_reduce(g.tolist())
+        v = math.sqrt(a * a + c * c)
+        s = math.sqrt(abs(a * d - b * c))
+        return np.array([[v / s, (a * b + c * d) / (v * s)], [0.0, s / v]])
+    reduced, _ = _lll_reduce(g)
+    r = np.linalg.qr(reduced, mode="r")
+    r *= np.sign(np.diag(r))[:, None]
+    return r / np.prod(np.diag(r)) ** (1.0 / g.shape[0])

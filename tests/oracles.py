@@ -3,23 +3,29 @@
 Each one reaches its answer by a route independent of the code under test:
 exhaustive integer windows for the discreteness radius (every n = 2
 candidate, and every n = 3 one within entry window 2 with log-norms from
-scipy's logm), the Mercator-series matrix log, minors for wedge
-norms, explicit roots for the type-A constants, and the adjoint action
-as an explicit matrix on sl(n), whose spectral norm checks the closed-form
-Ad norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
+scipy's logm), fraction-free elimination for integer determinants, the
+Mercator-series matrix log, minors for wedge norms, explicit roots for the
+type-A constants, and the adjoint action as an explicit matrix on sl(n),
+whose spectral norm checks the closed-form Ad norms (expanding_element's
+and diagonal_ad_norm's largest entry ratio).
 The radius kernel's two search layers also keep their plain forms here:
 an LLL that takes a fresh QR after every swap, and a full interval
 enumeration of the ball that never shrinks it.  A mu_s draw keeps its
 plain form too: two Haar rotations around s_lambda, one after the other.
+Two formulas that only tests evaluate live here as well: q_of_subspace,
+the wedge functional that check_projection_bound compares against, and
+delta_asymptotic, the large-lambda exponent ray of criterion 03.
 """
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from thinpart.grassmann import _restricted_singular_values
 from thinpart.linalg import frobenius, haar_orthogonal
 
 
@@ -106,6 +112,29 @@ def sl3_window_radius(g: np.ndarray, rho: float) -> float:
         if np.abs(np.imag(log)).max() <= 1e-12:
             best = min(best, float(np.linalg.norm(np.real(log), "fro")))
     return best
+
+
+def int_det(mat: np.ndarray) -> int:
+    """Exact determinant of an integer matrix, by fraction-free (Bareiss)
+    elimination over python ints."""
+    a = [[int(v) for v in row] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 class LogDomainError(ValueError):
@@ -223,6 +252,13 @@ def wedge_power(m: np.ndarray, l: int) -> np.ndarray:
     return np.stack([wedge_vector(m[:, list(c)]) for c in cols], axis=1)
 
 
+def q_of_subspace(ss, w) -> float:
+    """sup over unit tuples (w_1 .. w_l) in W of ||P w_1 ^ ... ^ P w_l||,
+    as the product of the singular values of P restricted to W, the form
+    check_projection_bound compares against."""
+    return float(np.prod(_restricted_singular_values(ss, w)))
+
+
 def type_a_positive_roots(rank: int) -> list:
     """Positive roots e_i - e_j (i < j) of A_rank as coefficient vectors over
     the simple roots e_k - e_{k+1}; coefficient k is the sum of the first
@@ -297,3 +333,45 @@ def diagonal_ad_norm(diag_entries: np.ndarray) -> float:
         raise ValueError("diagonal entries must be nonzero")
     return float(d.max() / d.min())
 
+
+@dataclass(frozen=True)
+class AsymptoticParams:
+    """Large-parameter model a2 = a0 lam^-h, p = 1 - zeta lam^-alpha."""
+
+    h: float
+    alpha: float
+    zeta: float
+    a0: float
+
+    def __post_init__(self):
+        for name in ("h", "alpha", "zeta", "a0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
+
+def delta_asymptotic(ap: AsymptoticParams, lam: float) -> float | None:
+    """Optimal exponent along the ray a2 = a0 lam^-h, p = 1 - zeta lam^-alpha.
+
+    a1 is pinned at 2.  Returns None while lam is not yet large enough for
+    the triple to be balanced (or even admissible); that is a signal, not a
+    failure.  None never stands for float cancellation or underflow: the
+    closed form of delta_opt is evaluated from L = ln lam, with
+    q = 1 - p = zeta lam^-alpha kept in log space, so p is never formed.
+
+    The limit of the returned values as lam grows is alpha / h, approached
+    from below at rate ln ln lam / ln lam; for zeta = a0 = 1,
+        alpha/h - delta ~ (ln(h L / ln 2) + alpha ln 2 / h) / (h L + ln 2),
+    which is still 0.115 (h = 2) and 0.208 (h = 1) at lam = 1e8.
+    """
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    big_l = math.log(lam)
+    log_inv_a2 = ap.h * big_l - math.log(ap.a0)
+    log_q = math.log(ap.zeta) - ap.alpha * big_l
+    if not (log_inv_a2 > 0 and log_q < 0):
+        return None
+    q = math.exp(log_q)
+    ln2 = math.log(2.0)
+    if not q * log_inv_a2 < (1 - q) * ln2:
+        return None
+    return -(log_q - math.log1p(-q) + math.log(log_inv_a2 / ln2)) / (ln2 + log_inv_a2)

@@ -10,15 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ad_operator, diagonal_ad_norm, op_norm
+from oracles import AsymptoticParams, ad_operator, delta_asymptotic, diagonal_ad_norm, op_norm
 from thinpart.analysis import Box, ScalarField, sublevel_measure
-from thinpart.contraction import (
-    AsymptoticParams,
-    balance_holds,
-    delta_asymptotic,
-    delta_opt,
-    phi,
-)
+from thinpart.contraction import balance_holds, delta_opt, phi
 from thinpart.grassmann import check_projection_bound, split_from_basis
 from thinpart.harness.config import ExperimentConfig
 from thinpart.harness.experiments import (

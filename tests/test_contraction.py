@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import AsymptoticParams, delta_asymptotic
 from thinpart.contraction import (
-    AsymptoticParams,
     BalanceError,
     ContractionParams,
     balance_holds,
     contraction_constants,
-    delta_asymptotic,
     delta_opt,
     markov_superlevel_bound,
     phi,

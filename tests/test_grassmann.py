@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import wedge_vector
+from oracles import q_of_subspace, wedge_vector
 from thinpart.grassmann import (
     check_bijection_contraction,
     check_projection_bound,
-    q_of_subspace,
     split_from_basis,
 )
 from thinpart.linalg import Subspace, haar_orthogonal

@@ -332,14 +332,14 @@ class TestRunners:
         (_SMALL.seed, _WALK_BLOCK, 0, False),
         (_SMALL.seed, 700, 1, False),
         (_SMALL.seed, 600, 0, True),
-        (1, 300, 0, True),
+        (5, 300, 0, True),
     ])
     def test_walk_cap_path_matches_stepwise_walk(self, monkeypatch, seed, length, cap, raises):
         # with the entry cap at 0 (1), every step whose window is at least
         # 1 (2) is an incident: the walk records None at exactly the steps
         # where the scalar radius raises, and stops with the same
         # WalkCapError (in the second block at the default seed, in the
-        # first at seed 1), whether the length is below, at or off a
+        # first at seed 5), whether the length is below, at or off a
         # multiple of the block size
         monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", cap)
         cfg = dataclasses.replace(_SMALL, seed=seed, walk_length=length)

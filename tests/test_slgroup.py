@@ -14,6 +14,7 @@ from oracles import (
     ball_points,
     diagonal_ad_norm,
     entry_window,
+    int_det,
     lattice_candidates,
     mat_log,
     mu_s_draw,
@@ -33,7 +34,6 @@ from thinpart.slgroup import (
     ZASSENHAUS_RADIUS,
     _entry_bounds,
     _gauss_radius,
-    _int_det,
     _lll_reduce,
     _search_ball,
     _search_radius,
@@ -179,7 +179,7 @@ class TestCandidateEnumeration:
         for shear in (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1))):
             assert shear in as_tuples
         assert ((1, 0), (0, 1)) not in as_tuples
-        assert all(_int_det(c) == 1 for c in cands)
+        assert all(int_det(c) == 1 for c in cands)
 
     def test_2x2_solver_matches_brute_force(self):
         # independent re-derivation: scan the full integer box
@@ -188,7 +188,7 @@ class TestCandidateEnumeration:
         rng_box = range(-bound, bound + 1)
         for a, b, c, d in itertools.product(rng_box, repeat=4):
             gamma = np.array([[1 + a, b], [c, 1 + d]], dtype=np.int64)
-            if (a, b, c, d) != (0, 0, 0, 0) and _int_det(gamma) == 1:
+            if (a, b, c, d) != (0, 0, 0, 0) and int_det(gamma) == 1:
                 brute.add(tuple(map(tuple, gamma)))
         got = {tuple(map(tuple, c)) for c in lattice_candidates(np.eye(2), 1.2)}
         assert got == brute
@@ -212,7 +212,7 @@ class TestCandidateEnumeration:
         rng = np.random.default_rng([33, index])
         n = int(rng.integers(1, 6))
         mat = rng.integers(-9, 10, size=(n, n))
-        assert _int_det(mat) == round(float(np.linalg.det(mat.astype(float))))
+        assert int_det(mat) == round(float(np.linalg.det(mat.astype(float))))
 
 
 class TestLatticeReduction:
@@ -222,7 +222,7 @@ class TestLatticeReduction:
         d = int(rng.integers(2, 5))
         basis = rng.standard_normal((d, d)) + np.eye(d)
         reduced, u = _lll_reduce(basis)
-        assert abs(_int_det(u)) == 1
+        assert abs(int_det(u)) == 1
         assert np.abs(basis @ u.astype(float) - reduced).max() <= 1e-9
 
     @pytest.mark.parametrize("case", range(15))
@@ -491,6 +491,27 @@ class TestDiscretenessRadius:
 
 
 class TestReducedConjugator:
+    @staticmethod
+    def _assert_tame(wild, tame, det_tol):
+        # upper triangular, positive diagonal, det 1, no worse conditioned,
+        # and the radius of the conjugated lattice kept
+        assert not np.tril(tame, -1).any()
+        assert (np.diag(tame) > 0.0).all()
+        assert abs(float(np.linalg.det(tame)) - 1.0) <= det_tol
+        assert np.linalg.cond(tame) <= np.linalg.cond(wild) * (1.0 + 1e-9)
+        r_wild = discreteness_radius(wild, _LOOSE_RP)
+        r_tame = discreteness_radius(tame, _LOOSE_RP)
+        assert abs(r_wild - r_tame) <= 1e-9
+
+    @staticmethod
+    def _assert_gauss_triangle(r):
+        # the n = 2 form: a det-1 triangle with positive diagonal whose
+        # columns are Lagrange-Gauss reduced
+        assert r[1, 0] == 0.0 and r[0, 0] > 0.0 and r[1, 1] > 0.0
+        assert abs(float(np.linalg.det(r)) - 1.0) <= 1e-12
+        assert abs(r[0, 1]) <= r[0, 0] / 2 * (1.0 + 1e-12)
+        assert r[0, 0] ** 2 <= (r[0, 1] ** 2 + r[1, 1] ** 2) * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("case", range(15))
     def test_preserves_radius_and_tames_conditioning(self, case):
         rng = np.random.default_rng([40, case])
@@ -499,11 +520,23 @@ class TestReducedConjugator:
         shear = np.array([[1.0, 0.0], [17.0, 1.0]])
         wild = g @ shear
         tame = reduced_conjugator(wild)
-        assert abs(float(np.linalg.det(tame)) - 1.0) <= 1e-9
-        assert np.linalg.cond(tame) <= np.linalg.cond(wild) * (1.0 + 1e-9)
-        r_wild = discreteness_radius(wild, _LOOSE_RP)
-        r_tame = discreteness_radius(tame, _LOOSE_RP)
-        assert abs(r_wild - r_tame) <= 1e-9
+        self._assert_tame(wild, tame, 1e-12)
+        for r in [tame, *_walk_conjugators(300)[case::15]]:
+            self._assert_gauss_triangle(r)
+        # n = 3 and 4, whose windows at this cond stay far below the entry
+        # cap; the signed column swap makes LLL's transform det -1 on most
+        # inputs, so the discarded orthogonal factor is a reflection
+        flipped = 0
+        for n in (3, 4):
+            g = sample_base_conjugator(n, np.random.default_rng([40, n, case]), 5.0, 500.0)
+            shear = np.eye(n)
+            shear[n - 1, 0] = 17.0
+            swap = np.eye(n)[:, [1, 0, *range(2, n)]]
+            swap[:, 0] *= -1.0
+            for wild in (g @ shear, g @ shear @ swap):
+                self._assert_tame(wild, reduced_conjugator(wild), 1e-9)
+                flipped += int_det(_lll_reduce(wild)[1]) == -1
+        assert flipped
 
 
 def _walk_conjugators(count):
