@@ -1,10 +1,12 @@
 """Experiment runners behind the CLI.
 
 Each runner takes an ExperimentConfig and returns an ExperimentReport.
-All randomness flows through generators seeded as (seed, stream tag,
-sample index), so a report is byte-identical for a fixed seed and its
-summary does not depend on the worker count: the pool only decides who
-evaluates a base and its samples, never which generator they use.
+All randomness flows through one generator per task, seeded as (seed,
+stream tag, task index): a base of expansion-prob or key-inequality, or a
+whole walk, goodfn or grassmann run.  A task draws its samples from its
+generator in one block, so a report is byte-identical for a fixed seed, a
+larger sample count extends a smaller run, and the summary does not depend
+on the worker count: the pool only decides who evaluates a base.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ __all__ = [
 # One tag per independent randomness consumer, so enlarging one stream
 # never shifts the draws of another.
 _TAG_BASE = 1
-_TAG_ORIENT = 2
 _TAG_DRIFT_BASE = 3
-_TAG_DRIFT = 4
 _TAG_WALK = 5
 _TAG_GOODFN = 6
 _TAG_GRASSMANN = 7
@@ -71,9 +71,9 @@ _EXPANSION_FACTOR = 2.0
 _THIN_CUT = 0.5  # a base model is "thin" below _THIN_CUT * rho
 _SIGMAS = 3.0
 _BASE_TRIES = 400
-# Walk steps whose mu_s draws and radius front end are stacked at once.  A
-# block holds that many generators of about 1 KB each, so stacking all 10^4
-# default steps would hold about 10 MB and raise the peak memory.
+# Walk steps whose mu_s draws and radius front end are stacked at once; it
+# bounds the stacked Gaussians, draws, conjugators and front-end arrays of a
+# long walk, which would otherwise grow with walk_length.
 _WALK_BLOCK = 256
 
 
@@ -194,8 +194,8 @@ def _report(experiment, cfg, columns, samples, summary, verdicts) -> ExperimentR
 
 
 def _expansion_base_task(seed, sp, rp, per_model, index):
-    """The first thin draw of base `index` and its per_model rotation pairs;
-    rows None when no draw is thin within _BASE_TRIES."""
+    """The first thin draw of base `index` and its per_model rotation pairs,
+    all from its generator; rows None when no thin draw in _BASE_TRIES."""
     rng = _rng(seed, _TAG_BASE, index)
     for tries in range(1, _BASE_TRIES + 1):
         g = sample_base_conjugator(sp.n, rng)
@@ -204,8 +204,7 @@ def _expansion_base_task(seed, sp, rp, per_model, index):
     else:
         return None, tries
     indices = range(index * per_model, (index + 1) * per_model)
-    gaussians = [_rng(seed, _TAG_ORIENT, idx).standard_normal((sp.n, sp.n)) for idx in indices]
-    rotated = haar_rotations(np.stack(gaussians)) @ g
+    rotated = haar_rotations(rng.standard_normal((per_model, sp.n, sp.n))) @ g
     # each rotated model next to its expanded one, in the order of the rows
     pairs = np.stack([rotated, sp.s_lambda @ rotated], axis=1).reshape(-1, sp.n, sp.n)
     radii = _stack_radii(pairs, rp)
@@ -303,10 +302,11 @@ def _drift_setup(experiment, cfg, columns, p_hat):
 
 def _drift_base_task(seed, sp, rp, delta, m, index):
     """Base `index` (no thin filter), its radius, and its m drift steps as
-    (sample index, radius, radius^-delta)."""
-    g = sample_base_conjugator(sp.n, _rng(seed, _TAG_DRIFT_BASE, index))
+    (sample index, radius, radius^-delta), all from the base's generator."""
+    rng = _rng(seed, _TAG_DRIFT_BASE, index)
+    g = sample_base_conjugator(sp.n, rng)
     indices = range(index * m, (index + 1) * m)
-    stepped = mu_s_draws(sp, [_rng(seed, _TAG_DRIFT, idx) for idx in indices]) @ g
+    stepped = mu_s_draws(sp, rng, m) @ g
     *radii, base = _stack_radii(np.concatenate([stepped, g[None]]), rp)
     rows = [(idx, radius, radius ** (-delta)) for idx, radius in zip(indices, radii)]
     return base, rows
@@ -386,23 +386,24 @@ def _walk(cfg: ExperimentConfig, sp, rp, min_kept: int) -> tuple:
     max(5, length/200) incidents.  Raises InsufficientDataError below
     min_kept radii.
 
-    The draws and the radii do not depend on the walk state, so they run
-    _WALK_BLOCK steps at a time (mu_s_draws, discreteness_radii); only
-    the product and reduced_conjugator go step by step.  Every value,
-    incident and error is the one a step-by-step loop gives.  About 99%
-    of the default walk's radii stop at the front end's rho shortcut, and
-    the other 110 of the 10^4 steps take the n = 2 closed form; the 2 x 2
-    reduction is one Lagrange-Gauss step in python floats, so a step costs
-    mostly its generator: the default walk takes about 0.4 s, against
-    1.8 s step by step (shared 2-core box, numpy 2.4).
+    The draws (from the walk's one generator) and the radii do not
+    depend on the walk state, so they run _WALK_BLOCK steps at a time
+    (mu_s_draws, discreteness_radii); only the product and
+    reduced_conjugator go step by step.  Every value, incident and error
+    is the one a step-by-step loop gives.  About 99% of the default
+    walk's radii stop at the front end's rho shortcut, and the 2 x 2
+    reduction is one Lagrange-Gauss step in python floats, which is most
+    of a step: the default walk takes about 0.15 s, against 0.45 s with
+    a generator per step (shared 2-core box, numpy 2.4).
     """
+    rng = _rng(cfg.seed, _TAG_WALK, 0)
     g = np.eye(cfg.group_n)
     cap_limit = max(5, cfg.walk_length // 200)
     incidents = 0
     rows = []
     for start in range(1, cfg.walk_length + 1, _WALK_BLOCK):
         steps = range(start, min(start + _WALK_BLOCK, cfg.walk_length + 1))
-        draws = mu_s_draws(sp, [_rng(cfg.seed, _TAG_WALK, t) for t in steps])
+        draws = mu_s_draws(sp, rng, len(steps))
         conjugators = []
         for draw in draws:
             g = reduced_conjugator(draw @ g)
@@ -706,8 +707,8 @@ def run_grassmann(cfg: ExperimentConfig) -> ExperimentReport:
     min_proj = math.inf
     min_bij = math.inf
     min_hadamard = math.inf
+    rng = _rng(cfg.seed, _TAG_GRASSMANN, 0)
     for trial in range(trials):
-        rng = _rng(cfg.seed, _TAG_GRASSMANN, trial)
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n))
         q = haar_orthogonal(n, rng)

@@ -1,11 +1,11 @@
 """Exact constants of SL(n, R) from its type-A root data.
 
-The root data enter through two integers with closed forms for A_{n-1}:
+The root data enter through one integer with a closed form for A_{n-1}:
 the largest root height n - 1 (the highest root is the sum of all simple
-roots) and its largest coefficient, 1.  They feed two exact quantities: a
-lower bound for the decay exponent delta and an upper bound for vanishing
-orders of adjoint matrix coefficients.  Both are kept in integer / Fraction
-arithmetic; floats never enter.
+roots).  With the dimensions of G, U and the rank of K it feeds two exact
+quantities: a lower bound for the decay exponent delta and an upper bound
+for vanishing orders of adjoint matrix coefficients.  Both are kept in
+integer / Fraction arithmetic; floats never enter.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ class GroupConstants:
     dim_u    dimension of a maximal unipotent subgroup, n(n-1)/2
     rank_k   rank of the maximal compact SO(n), floor(n/2)
     ht_sum   largest root height under the coefficient-sum convention, n - 1
-    coeff_max largest single coefficient in the highest root (1 for type A)
     """
 
     dim_g: int
     dim_u: int
     rank_k: int
     ht_sum: int
-    coeff_max: int
 
 
 def group_constants(n: int) -> GroupConstants:
@@ -48,7 +46,6 @@ def group_constants(n: int) -> GroupConstants:
         dim_u=n * (n - 1) // 2,
         rank_k=n // 2,
         ht_sum=n - 1,
-        coeff_max=1,
     )
 
 

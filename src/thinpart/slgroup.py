@@ -129,16 +129,17 @@ def radius_params(sp: SemisimpleParams) -> RadiusParams:
     return RadiusParams(R=ZASSENHAUS_RADIUS, rho=ZASSENHAUS_RADIUS / sp.ad_norm)
 
 
-def mu_s_draws(sp: SemisimpleParams, rngs) -> np.ndarray:
-    """One draw k1 s_lambda k2 with independent uniform rotations for each
-    generator of rngs, stacked along the first axis.
+def mu_s_draws(sp: SemisimpleParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count draws k1 s_lambda k2 with independent uniform rotations,
+    stacked along the first axis.
 
-    Each generator gives its k1 and then its k2 Gaussians; one stacked
-    QR, det and product turn them into the draws.  Singular values of
-    every draw equal the diagonal of s_lambda.
+    The Gaussians come from rng as one C-order block, draw by draw and
+    within a draw k1's before k2's, so count draws equal the first count
+    of a longer call on the same stream; one stacked QR, det and product
+    turn them into the draws.  Singular values of every draw equal the
+    diagonal of s_lambda.
     """
-    z = np.stack([rng.standard_normal((2, sp.n, sp.n)) for rng in rngs])
-    k = haar_rotations(z)
+    k = haar_rotations(rng.standard_normal((count, 2, sp.n, sp.n)))
     return k[:, 0] @ sp.s_lambda @ k[:, 1]
 
 

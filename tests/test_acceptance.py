@@ -143,7 +143,7 @@ def test_criterion_05_sampler_singular_values():
         sp = expanding_element(n, 55.0, math.exp(-1.0))
         want = np.sort(np.diag(sp.s_lambda))[::-1]
         for _ in range(500):
-            sv = np.linalg.svd(mu_s_draws(sp, [rng])[0], compute_uv=False)
+            sv = np.linalg.svd(mu_s_draws(sp, rng, 1)[0], compute_uv=False)
             assert np.max(np.abs(sv - want)) <= 1e-10
     assert time.perf_counter() - start < 5.0
 

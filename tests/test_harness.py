@@ -21,7 +21,6 @@ from thinpart.harness.config import (
 import thinpart
 from thinpart import slgroup
 from thinpart.harness.experiments import (
-    _TAG_DRIFT,
     _TAG_DRIFT_BASE,
     _TAG_WALK,
     _WALK_BLOCK,
@@ -247,14 +246,16 @@ class TestRunners:
 
     def test_walk_step_is_a_mu_s_draw(self):
         # the walk is g_t = reduced_conjugator(k1 s_lambda k2 g_{t-1}) with k1
-        # and k2 from step t's walk stream; every radius of the report is
-        # recomputed
-        sp, rp = derive_group(_SMALL)
-        rep = run_stationary_bound(_SMALL, p_hat=0.88)
-        g = np.eye(_SMALL.group_n)
+        # and k2 of every step drawn in turn from the one walk stream; every
+        # radius of the report is recomputed.  Haar measure puts 3 rho / pi
+        # of the walk below rho, so 1700 steps expect about 10 there
+        cfg = dataclasses.replace(_SMALL, walk_length=1700)
+        sp, rp = derive_group(cfg)
+        rep = run_stationary_bound(cfg, p_hat=0.88)
+        rng = np.random.default_rng([cfg.seed, _TAG_WALK, 0])
+        g = np.eye(cfg.group_n)
         radii = []
-        for t in range(1, _SMALL.walk_length + 1):
-            rng = np.random.default_rng([_SMALL.seed, _TAG_WALK, t])
+        for _ in range(cfg.walk_length):
             g = reduced_conjugator(mu_s_draw(sp, rng) @ g)
             radii.append(discreteness_radius(g, rp))
         assert [(t, r) for t, r, _ in rep.samples] == list(enumerate(radii, start=1))
@@ -311,11 +312,11 @@ class TestRunners:
         # the walk one step at a time with scalar radii: (rows, None), or
         # (rows so far, WalkCapError fields) once incidents pass the limit
         sp, rp = derive_group(cfg)
+        rng = np.random.default_rng([cfg.seed, _TAG_WALK, 0])
         g = np.eye(cfg.group_n)
         rows = []
         incidents = 0
         for t in range(1, cfg.walk_length + 1):
-            rng = np.random.default_rng([cfg.seed, _TAG_WALK, t])
             g = reduced_conjugator(mu_s_draw(sp, rng) @ g)
             try:
                 radius = discreteness_radius(g, rp)
@@ -331,16 +332,16 @@ class TestRunners:
         (_SMALL.seed, 200, 0, False),
         (_SMALL.seed, _WALK_BLOCK, 0, False),
         (_SMALL.seed, 700, 1, False),
-        (_SMALL.seed, 600, 0, True),
-        (5, 300, 0, True),
+        (5, 600, 0, True),
+        (12, 300, 0, True),
     ])
     def test_walk_cap_path_matches_stepwise_walk(self, monkeypatch, seed, length, cap, raises):
         # with the entry cap at 0 (1), every step whose window is at least
         # 1 (2) is an incident: the walk records None at exactly the steps
         # where the scalar radius raises, and stops with the same
-        # WalkCapError (in the second block at the default seed, in the
-        # first at seed 5), whether the length is below, at or off a
-        # multiple of the block size
+        # WalkCapError (at step 433, in the second block, at seed 5; at step
+        # 223, in the first, at seed 12), whether the length is below, at or
+        # off a multiple of the block size
         monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", cap)
         cfg = dataclasses.replace(_SMALL, seed=seed, walk_length=length)
         rows, error = self._stepwise_walk(cfg)
@@ -361,14 +362,12 @@ class TestRunners:
     def test_drift_cap_error_is_the_first_stepwise_one(self, monkeypatch):
         # key-inequality stacks base 0's steps and then the base itself; it
         # raises the EnumerationCapError that scalar radii in that order meet
-        # first (windows 64 for the first step, 1 for the base at this seed)
+        # first (windows 7 for the first step, 1 for the base at this seed)
         monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", 0)
         sp, rp = derive_group(_SMALL)
-        g = sample_base_conjugator(2, np.random.default_rng([_SMALL.seed, _TAG_DRIFT_BASE, 0]))
-        steps = [
-            mu_s_draw(sp, np.random.default_rng([_SMALL.seed, _TAG_DRIFT, i])) @ g
-            for i in range(_SMALL.n_mc_samples)
-        ]
+        rng = np.random.default_rng([_SMALL.seed, _TAG_DRIFT_BASE, 0])
+        g = sample_base_conjugator(2, rng)
+        steps = [mu_s_draw(sp, rng) @ g for _ in range(_SMALL.n_mc_samples)]
         required = None
         for m in steps + [g]:
             try:
@@ -410,6 +409,54 @@ class TestDeterminism:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+class TestPrefixStability:
+    """Each task draws its samples from its own generator in one block, so
+    a larger sample count or walk extends a smaller run and never shifts
+    the draws that run already made."""
+
+    @staticmethod
+    def _by_base(samples, base_column, values):
+        out = {}
+        for row in samples:
+            out.setdefault(row[base_column], []).append(tuple(row[i] for i in values))
+        return out
+
+    def test_expansion_bases_keep_their_first_rotations(self):
+        small = run_expansion_probability(_SMALL)
+        large = run_expansion_probability(
+            dataclasses.replace(_SMALL, n_mc_samples=2 * _SMALL.n_mc_samples)
+        )
+        per_model = small.summary["per_model"]
+        assert large.summary["per_model"] == 2 * per_model
+        got = self._by_base(large.samples, 1, (2, 3))
+        want = self._by_base(small.samples, 1, (2, 3))
+        assert sorted(got) == sorted(want) == list(range(_SMALL.n_base_points))
+        for base, rows in want.items():
+            assert got[base][:per_model] == rows
+
+    def test_key_inequality_bases_keep_their_first_steps(self):
+        m = _SMALL.n_mc_samples
+        small = run_key_inequality(_SMALL, p_hat=0.88)
+        large = run_key_inequality(dataclasses.replace(_SMALL, n_mc_samples=2 * m), p_hat=0.88)
+        assert large.summary["samples_per_base"] == 2 * m
+        got = self._by_base(large.samples, 1, (2, 3, 4, 5))
+        want = self._by_base(small.samples, 1, (2, 3, 4, 5))
+        assert sorted(got) == sorted(want) == list(range(_SMALL.n_base_points))
+        for base, rows in want.items():
+            assert got[base][:m] == rows
+
+    def test_walk_keeps_its_first_steps(self):
+        length = _SMALL.walk_length
+        small = run_stationary_bound(_SMALL, p_hat=0.88)
+        large = run_stationary_bound(
+            dataclasses.replace(_SMALL, walk_length=2 * length), p_hat=0.88
+        )
+        assert len(large.samples) == 2 * length
+        assert [(t, r) for t, r, _ in large.samples[:length]] == [
+            (t, r) for t, r, _ in small.samples
+        ]
 
 
 class TestCli:

@@ -31,7 +31,7 @@ class TestRootSystems:
         highest = max(roots, key=sum)
         assert len(roots) == count
         assert sum(highest) == ht == group_constants(rank + 1).ht_sum
-        assert max(highest) == cmax == group_constants(rank + 1).coeff_max
+        assert max(highest) == cmax
 
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_type_a_height_multiset(self, rank):
@@ -55,7 +55,6 @@ class TestGroupConstants:
         assert gc.dim_u == n * (n - 1) // 2
         assert gc.rank_k == n // 2
         assert gc.ht_sum == n - 1
-        assert gc.coeff_max == 1
 
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):

@@ -155,7 +155,7 @@ class TestExpandingElement:
         want = np.sort(np.diag(sp.s_lambda))[::-1]
         for case in range(100):
             rng = np.random.default_rng([32, case])
-            sv = np.linalg.svd(mu_s_draws(sp, [rng])[0], compute_uv=False)
+            sv = np.linalg.svd(mu_s_draws(sp, rng, 1)[0], compute_uv=False)
             assert np.abs(sv - want).max() <= 1e-10
 
 
@@ -554,11 +554,16 @@ class TestStacked:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mu_s_draws_match_sample_mu_s(self, n):
-        # against the plain k1 s_lambda k2 from the same generator
+        # against plain k1 s_lambda k2 draws one after another on the same
+        # stream, and a chunked draw equals one long one
         sp = expanding_element(n, 55.0, math.exp(-1.0))
-        stacked = mu_s_draws(sp, [np.random.default_rng([45, i]) for i in range(200)])
+        stacked = mu_s_draws(sp, np.random.default_rng(45), 200)
+        rng = np.random.default_rng(45)
         for i in range(200):
-            assert np.array_equal(stacked[i], mu_s_draw(sp, np.random.default_rng([45, i])))
+            assert np.array_equal(stacked[i], mu_s_draw(sp, rng))
+        rng = np.random.default_rng(45)
+        chunked = np.concatenate([mu_s_draws(sp, rng, 73), mu_s_draws(sp, rng, 127)])
+        assert np.array_equal(chunked, stacked)
 
     @pytest.mark.parametrize("rp", [_DEFAULT_RP, _LOOSE_RP], ids=["default-rho", "loose-rho"])
     def test_stacked_radii_match_scalar(self, rp):
