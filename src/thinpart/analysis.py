@@ -2,13 +2,15 @@
 
 The quantity of interest is how much mass |f| < eps carries, either on a box
 in R^d (Monte Carlo with a CLT band) or on SO(n) against Haar measure, where
-the decay rate in eps is fitted as a power law.
+the decay rate in eps is fitted as a power law.  Samples are counted _BLOCK
+at a time, so memory is of order _BLOCK, not n_samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,8 +23,11 @@ __all__ = [
     "Box",
     "MeasureEstimate",
     "sublevel_measure",
+    "compact_group_sublevel_measures",
     "compact_group_sublevel_fit",
 ]
+
+_BLOCK = 1 << 15
 
 
 class GridTooSmallError(ValueError):
@@ -74,10 +79,23 @@ def sublevel_measure(
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    pts = box.center + box.radius * rng.uniform(-1.0, 1.0, size=(n_samples, box.dim))
-    values = np.asarray(f.eval(pts), dtype=float)
-    p_hat = float(np.mean(np.abs(values) < eps))
+
+    def draw(m):
+        return f.eval(box.center + box.radius * rng.uniform(-1.0, 1.0, size=(m, box.dim)))
+
+    p_hat = int(_count_below(draw, n_samples, [eps])[0]) / n_samples
     return MeasureEstimate(p_hat, _band(p_hat, n_samples))
+
+
+def _count_below(draw, n_samples: int, eps_arr) -> np.ndarray:
+    # #{|v| < eps} per eps; draw(m) continues one stream, so blocks equal a full draw
+    if n_samples < 1:
+        raise ValueError(f"need at least 1 sample, got {n_samples}")
+    counts = np.zeros(len(eps_arr), dtype=np.int64)
+    for start in range(0, n_samples, _BLOCK):
+        values = np.abs(draw(min(_BLOCK, n_samples - start)))
+        counts += [np.count_nonzero(values < eps) for eps in eps_arr]
+    return counts
 
 
 def _haar_coefficient_samples(
@@ -96,12 +114,16 @@ def _haar_coefficient_samples(
     return haar_rotations(rng.standard_normal((n_samples, n, n)))[:, j, i]
 
 
+def compact_group_sublevel_measures(
+    n: int, coefficient: tuple, eps_grid, rng: np.random.Generator, n_samples: int
+) -> np.ndarray:
+    """measure{|<g e_i, e_j>| < eps} for each eps, over n_samples Haar draws of g."""
+    draw = partial(_haar_coefficient_samples, n, coefficient, rng=rng)
+    return _count_below(draw, n_samples, eps_grid) / n_samples
+
+
 def compact_group_sublevel_fit(
-    n: int,
-    coefficient: tuple,
-    eps_grid: list,
-    rng: np.random.Generator,
-    n_samples: int,
+    n: int, coefficient: tuple, eps_grid: list, rng: np.random.Generator, n_samples: int
 ) -> tuple:
     """Fit measure{|<g e_i, e_j>| < eps} ~ kappa eps^slope over Haar samples.
 
@@ -109,10 +131,8 @@ def compact_group_sublevel_fit(
     (eps above sup|f|) are excluded from the fit.  Returns (kappa_hat,
     slope_hat).
     """
-    values = np.abs(_haar_coefficient_samples(n, coefficient, n_samples, rng))
-    values.sort()
     eps_arr = np.asarray(sorted(eps_grid), dtype=float)
-    measures = np.searchsorted(values, eps_arr, side="left") / n_samples
+    measures = compact_group_sublevel_measures(n, coefficient, eps_arr, rng, n_samples)
     keep = (measures > 0.0) & (measures < 1.0)
     if not np.any(measures > 0.0):
         raise GridTooSmallError("no epsilon on the grid captured any mass")

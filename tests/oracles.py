@@ -15,6 +15,8 @@ plain form too: two Haar rotations around s_lambda, one after the other.
 Two formulas that only tests evaluate live here as well: q_of_subspace,
 the wedge functional that check_projection_bound compares against, and
 delta_asymptotic, the large-lambda exponent ray of criterion 03.
+The sublevel measures keep their one-shot forms: every sample drawn at
+once, then counted by sort + searchsorted or by the mean of a mask.
 """
 
 import functools
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from thinpart.analysis import _haar_coefficient_samples
 from thinpart.grassmann import _restricted_singular_values
 from thinpart.linalg import frobenius, haar_orthogonal
 
@@ -33,6 +36,20 @@ def mu_s_draw(sp, rng: np.random.Generator) -> np.ndarray:
     """k1 s_lambda k2 with k1, then k2, Haar on SO(n) from rng."""
     k1 = haar_orthogonal(sp.n, rng)
     return k1 @ sp.s_lambda @ haar_orthogonal(sp.n, rng)
+
+
+def sorted_sublevel_measures(n, coefficient, eps_grid, rng, n_samples) -> np.ndarray:
+    """measure{|<g e_i, e_j>| < eps} for each eps: one full Haar draw, sorted,
+    with #{|v| < eps} read off as searchsorted's left position."""
+    values = np.abs(_haar_coefficient_samples(n, coefficient, n_samples, rng))
+    values.sort()
+    return np.searchsorted(values, np.asarray(eps_grid, dtype=float), side="left") / n_samples
+
+
+def full_draw_sublevel_measure(f, box, eps, n_samples, rng) -> float:
+    """Fraction of n_samples uniform box points with |f| < eps, drawn at once."""
+    pts = box.center + box.radius * rng.uniform(-1.0, 1.0, size=(n_samples, box.dim))
+    return float(np.mean(np.abs(np.asarray(f.eval(pts), dtype=float)) < eps))
 
 
 def entry_window(conjugator: np.ndarray, r: float) -> int:

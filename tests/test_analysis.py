@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import full_draw_sublevel_measure, sorted_sublevel_measures
 from thinpart.analysis import (
+    _BLOCK,
     Box,
     GridTooSmallError,
     ScalarField,
     _haar_coefficient_samples,
     compact_group_sublevel_fit,
+    compact_group_sublevel_measures,
     sublevel_measure,
 )
 from thinpart.linalg import haar_orthogonal
@@ -73,6 +76,61 @@ class TestCompactGroupFit:
         rng = np.random.default_rng(18)
         with pytest.raises(GridTooSmallError):
             compact_group_sublevel_fit(2, (0, 0), [1e-9, 1e-8], rng, n_samples=2_000)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_below_one_raises(self, n_samples):
+        # a plain ValueError, not the GridTooSmallError an empty count would give
+        for call in (compact_group_sublevel_fit, compact_group_sublevel_measures):
+            with pytest.raises(ValueError, match="at least 1 sample") as info:
+                call(2, (0, 0), [1e-1, 1e-2], np.random.default_rng(22), n_samples)
+            assert not isinstance(info.value, GridTooSmallError)
+
+
+# sample counts on both sides of the block boundary, and several blocks with a tail
+_COUNTS = [1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17]
+_EPS_GRID = [0.5, 1e-3, 0.1, 2.0, 1e-2]  # unsorted, one eps above sup|f|
+
+
+class TestBlockedCounting:
+    """Blocked counts equal the one-shot oracles exactly, and use the same stream."""
+
+    @pytest.mark.parametrize("n_samples", _COUNTS)
+    @pytest.mark.parametrize(
+        "n, coefficient",
+        [(2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1)), (3, (1, 2)), (4, (3, 0))],
+    )
+    def test_measures_match_sort_and_searchsorted(self, n, coefficient, n_samples):
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        got = compact_group_sublevel_measures(n, coefficient, _EPS_GRID, rng, n_samples)
+        want = sorted_sublevel_measures(n, coefficient, _EPS_GRID, ref, n_samples)
+        assert np.array_equal(got, want)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fit_matches_the_fit_of_the_oracle_measures(self, n):
+        grid = [1e-1, 3e-1, 3e-2]
+        got = compact_group_sublevel_fit(n, (0, 1), grid, np.random.default_rng(24), 40_000)
+        eps = np.array(sorted(grid))
+        measures = sorted_sublevel_measures(n, (0, 1), eps, np.random.default_rng(24), 40_000)
+        slope, intercept = np.polyfit(np.log(eps), np.log(measures), 1)
+        assert got == (float(np.exp(intercept)), float(slope))
+
+    @pytest.mark.parametrize("n_samples", [1000, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17])
+    @pytest.mark.parametrize(
+        "field, box, eps",
+        [
+            (_monomial(3), _UNIT, 1e-3),
+            (ScalarField(2, lambda pts: pts[:, 0] * pts[:, 1] - 0.01, "xy - 0.01"),
+             Box(center=np.array([0.3, -0.2]), radius=0.5), 2e-2),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_box_measure_matches_full_draw_mean(self, field, box, eps, n_samples):
+        rng, ref = np.random.default_rng(25), np.random.default_rng(25)
+        got = sublevel_measure(field, box, eps, n_samples, rng).value
+        assert got == full_draw_sublevel_measure(field, box, eps, n_samples, ref)
+        assert got > 0.0
+        assert rng.random() == ref.random()
 
 
 class TestHaarCoefficients:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from thinpart.harness.experiments import (
     expansion_indicator,
     run_evanescence,
     run_expansion_probability,
+    run_goodfn,
     run_grassmann,
     run_integrability,
     run_key_inequality,
@@ -173,6 +175,18 @@ class TestRunners:
         assert rep.summary["p_hat"] == pytest.approx(np.mean(flags), abs=0.0)
         assert rep.summary["n_pairs"] == len(rep.samples)
         assert rep.summary["per_model"] == 3
+
+    def test_goodfn_memory_does_not_scale_with_samples(self):
+        # 10^7 Haar and 4*10^6 box samples, counted in blocks: a full-length
+        # float64 draw alone would be 80 MB (numpy reports its buffers here)
+        tracemalloc.start()
+        try:
+            report = run_goodfn(ExperimentConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed()
+        assert peak < 32 * 2**20
 
     def test_expansion_indicator_threshold(self):
         assert expansion_indicator(2.0, 1.0)
