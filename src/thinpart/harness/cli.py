@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import (
+    conjugation_walk,
     run_constants,
     run_evanescence,
     run_expansion_probability,
@@ -41,7 +42,11 @@ _RUNNERS = {
 # Runners that take a p_hat (None: estimate it) through --p-hat.
 _TAKES_P_HAT = {"key-inequality", "stationary-bound", "integrability"}
 
-# Stages of `pipeline`, in order; expansion-prob's p_hat feeds the later ones.
+# Runners over the conjugation walk; `pipeline` runs it once for both.
+_TAKES_WALK = {"stationary-bound", "integrability"}
+
+# Stages of `pipeline`, in order; expansion-prob's p_hat feeds the later
+# ones, and the walk stages share one conjugation_walk.
 _PIPELINE = (
     "constants",
     "expansion-prob",
@@ -77,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(
         sub.add_parser(
             "pipeline",
-            help=f"Run {', '.join(_PIPELINE)} in turn, feeding the measured p_hat forward",
+            help=f"Run {', '.join(_PIPELINE)} in turn, feeding the measured p_hat "
+                 f"forward and sharing one walk",
         ),
         "pipeline",
     )
@@ -99,10 +105,16 @@ def _write_and_print(report, out_dir: Path, prefix: str = "") -> bool:
 def _run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> bool:
     """Every _PIPELINE stage into out_dir/<stage>; True if all verdicts passed."""
     p_hat = None
+    walk = None
     passed = True
     for name in _PIPELINE:
         runner = _RUNNERS[name]
-        report = runner(cfg, p_hat) if name in _TAKES_P_HAT else runner(cfg)
+        kwargs = {"p_hat": p_hat} if name in _TAKES_P_HAT else {}
+        if name in _TAKES_WALK:
+            if walk is None:
+                walk = conjugation_walk(cfg)
+            kwargs["walk"] = walk
+        report = runner(cfg, **kwargs)
         passed = _write_and_print(report, out_dir / name, f"{name}: ") and passed
         if name == "expansion-prob":
             p_hat = report.summary["p_hat"]

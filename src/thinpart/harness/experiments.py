@@ -50,6 +50,7 @@ __all__ = [
     "sample_base_conjugator",
     "model_radius",
     "drift_parameters",
+    "conjugation_walk",
     "run_constants",
     "run_expansion_probability",
     "run_key_inequality",
@@ -72,10 +73,13 @@ _EXPANSION_FACTOR = 2.0
 _THIN_CUT = 0.5  # a base model is "thin" below _THIN_CUT * rho
 _SIGMAS = 3.0
 _BASE_TRIES = 400
-# Walk steps whose mu_s draws and radius front end are stacked at once; it
-# bounds the stacked Gaussians, draws, conjugators and front-end arrays of a
-# long walk, which would otherwise grow with walk_length.
-_WALK_BLOCK = 256
+# Chains of the conjugation walk, stepped in lockstep (conjugation_walk).
+_WALK_CHAINS = 128
+# Walk steps whose mu_s draws and radius front end are stacked at once, a
+# multiple of _WALK_CHAINS; it bounds the stacked Gaussians, conjugators
+# and front-end arrays of a long walk, which would otherwise grow with
+# walk_length.
+_WALK_BLOCK = 2 * _WALK_CHAINS
 
 
 class WalkCapError(RuntimeError):
@@ -373,49 +377,72 @@ def run_key_inequality(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
 # stationary superlevel bound and integrability, over the same walk
 
 
-def _walk(cfg: ExperimentConfig, sp, rp, min_kept: int) -> tuple:
-    """Radius along the mu_s conjugation walk g_t = k1 s_lambda k2 g_{t-1}.
+def conjugation_walk(cfg: ExperimentConfig) -> list:
+    """Radius along the mu_s conjugation walk: (step, radius-or-None) for
+    every global step t = 1 .. walk_length, in step order.
 
-    Returns (rows, kept, burn, incidents): rows holds (step, radius-or-None)
-    for every step, kept the (step, radius) pairs after the first
-    walk_length // 10 burn-in steps.  mu_s is symmetric, since
-    s_lambda^-1 = w s_lambda w^T for a signed reversal permutation w in
-    SO(n), so the walk needs no separate inverse step.  The conjugator is
-    renormalized after every step, which changes nothing the radius can
-    see but keeps its conditioning near 1/radius.  Steps whose search
-    exceeds the entry window are recorded as None and tolerated up to
-    max(5, length/200) incidents.  Raises InsufficientDataError below
-    min_kept radii.
+    _WALK_CHAINS = C independent chains g_k = k1 s_lambda k2 g_{k-1}, each
+    from the identity, run in lockstep: global step t is step
+    (t - 1) // C + 1 of chain (t - 1) mod C, so a round of C consecutive
+    steps advances every chain once, and a walk shorter than C, or its
+    last partial round, advances the first chains only.  mu_s is
+    symmetric, since s_lambda^-1 = w s_lambda w^T for a signed reversal
+    permutation w in SO(n), so the walk needs no separate inverse step.
+    Every step's draw comes from the walk's one generator in step order,
+    _WALK_BLOCK steps at a time (mu_s_draws), so a longer walk extends a
+    shorter one.  A round is one stacked product and one stacked
+    reduced_conjugator, which changes nothing the radius can see but keeps
+    each conjugator's conditioning near 1/radius; the radii of a block
+    come from one discreteness_radii call.  Steps whose search exceeds
+    the entry window are recorded as None and tolerated up to
+    max(5, length/200) incidents, counted in step order; one more raises
+    WalkCapError at its step.
 
-    The draws (from the walk's one generator) and the radii do not
-    depend on the walk state, so they run _WALK_BLOCK steps at a time
-    (mu_s_draws, discreteness_radii); only the product and
-    reduced_conjugator go step by step.  Every value, incident and error
-    is the one a step-by-step loop gives.  About 99% of the default
-    walk's radii stop at the front end's rho shortcut, and the 2 x 2
-    reduction is one Lagrange-Gauss step in python floats, which is most
-    of a step: the default walk takes about 0.15 s, against 0.45 s with
-    a generator per step (shared 2-core box, numpy 2.4).
+    The runners drop the first walk_length // 10 global steps as burn-in,
+    which is the first floor(L / (10 C)) steps of every chain and one more
+    of the first (L // 10) mod C chains: 7 or 8 at the default L = 10^4.
+    A chain from the identity occupies the cusp below eps = 3e-3 at the
+    Haar rate 3 eps / pi from about its fifth step on, and over seeds
+    1-240 the kept steps match that rate at every eps down to 3e-5 within
+    two between-chain standard errors (CHANGES.md).  C = 128 takes 12%
+    less time than C = 64, and the stacked Lagrange-Gauss pass beats a
+    loop of scalar ones from about a hundred matrices.  About 99% of the
+    default walk's radii stop at the front end's rho shortcut.  The
+    default walk takes about 0.05 s, against 0.11 s for one serial chain
+    (shared 2-core box, numpy 2.4).
     """
+    sp, rp = derive_group(cfg)
     rng = _rng(cfg.seed, _TAG_WALK, 0)
-    g = np.eye(cfg.group_n)
+    chains = np.broadcast_to(np.eye(cfg.group_n), (_WALK_CHAINS, cfg.group_n, cfg.group_n))
     cap_limit = max(5, cfg.walk_length // 200)
     incidents = 0
     rows = []
     for start in range(1, cfg.walk_length + 1, _WALK_BLOCK):
         steps = range(start, min(start + _WALK_BLOCK, cfg.walk_length + 1))
         draws = mu_s_draws(sp, rng, len(steps))
-        conjugators = []
-        for draw in draws:
-            g = reduced_conjugator(draw @ g)
-            conjugators.append(g)
-        for t, radius in zip(steps, discreteness_radii(np.stack(conjugators), rp)):
+        conjugators = np.empty_like(draws)
+        for i in range(0, len(steps), _WALK_CHAINS):
+            round_draws = draws[i : i + _WALK_CHAINS]
+            chains = reduced_conjugator(round_draws @ chains[: len(round_draws)])
+            conjugators[i : i + _WALK_CHAINS] = chains
+        for t, radius in zip(steps, discreteness_radii(conjugators, rp)):
             if isinstance(radius, EnumerationCapError):
                 incidents += 1
                 if incidents > cap_limit:
                     raise WalkCapError(t, incidents, radius.required, radius.cap) from radius
                 radius = None
             rows.append((t, radius))
+    return rows
+
+
+def _walk_rows(cfg: ExperimentConfig, walk, min_kept: int) -> tuple:
+    """(rows, kept, burn, incidents) of the walk rows `walk`, or of a fresh
+    conjugation_walk when None: kept holds the (step, radius) pairs after
+    the first walk_length // 10 burn-in steps.  Raises
+    InsufficientDataError below min_kept radii."""
+    rows = conjugation_walk(cfg) if walk is None else list(walk)
+    if len(rows) != cfg.walk_length:
+        raise ConfigError(f"{len(rows)} walk rows for walk_length {cfg.walk_length}")
     burn = cfg.walk_length // 10
     kept = [(t, r) for t, r in rows if t > burn and r is not None]
     if len(kept) < min_kept:
@@ -423,25 +450,27 @@ def _walk(cfg: ExperimentConfig, sp, rp, min_kept: int) -> tuple:
             f"{len(kept)} usable walk steps after burn-in, {min_kept} needed; "
             f"increase walk_length"
         )
-    return rows, kept, burn, incidents
+    return rows, kept, burn, sum(r is None for _, r in rows)
 
 
 _WALK_COLUMNS = ("step", "i_value", "retained")
 
 
-def run_stationary_bound(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
+def run_stationary_bound(cfg: ExperimentConfig, p_hat=None, walk=None) -> ExperimentReport:
     """Occupation-measure test of the superlevel tail bound.
 
     After burn-in, the fraction of walk steps with radius below eps is
     compared against beta eps^delta with beta = b / (1 - c); the slope of
     the populated part of the tail is fitted as a second, scale-free check.
+    walk takes the rows of a conjugation_walk of cfg already run; None
+    runs it.
     """
     setup = _drift_setup("stationary-bound", cfg, _WALK_COLUMNS, p_hat)
     if isinstance(setup, ExperimentReport):
         return setup
-    sp, rp, cp, p_val, source = setup
+    _, _, cp, p_val, source = setup
 
-    rows, kept, burn, incidents = _walk(cfg, sp, rp, min_kept=2)
+    rows, kept, burn, incidents = _walk_rows(cfg, walk, min_kept=2)
     radii = np.array([r for _, r in kept])
     n_ret = len(radii)
     beta = markov_superlevel_bound(cp.c, cp.b, 1.0)
@@ -496,19 +525,20 @@ _INTEGRABILITY_COLUMNS = ("step", "i_value", "f_value", "running_mean")
 _CHECKPOINTS = 20
 
 
-def run_integrability(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
+def run_integrability(cfg: ExperimentConfig, p_hat=None, walk=None) -> ExperimentReport:
     """Watch the running mean of radius^-(delta/2) stabilize along the walk.
 
     The halved exponent is the one whose stationary moment the drift pair
-    makes finite with room to spare.
+    makes finite with room to spare.  walk takes the rows of a
+    conjugation_walk of cfg already run; None runs it.
     """
     setup = _drift_setup("integrability", cfg, _INTEGRABILITY_COLUMNS, p_hat)
     if isinstance(setup, ExperimentReport):
         return setup
-    sp, rp, cp, p_val, source = setup
+    _, _, cp, p_val, source = setup
     exponent = 0.5 * cp.delta
 
-    _, kept, burn, incidents = _walk(cfg, sp, rp, min_kept=_CHECKPOINTS)
+    _, kept, burn, incidents = _walk_rows(cfg, walk, min_kept=_CHECKPOINTS)
     f_vals = np.array([r for _, r in kept]) ** (-exponent)
     running = np.cumsum(f_vals) / np.arange(1, len(f_vals) + 1)
     positions = [((k + 1) * len(f_vals)) // _CHECKPOINTS - 1 for k in range(_CHECKPOINTS)]

@@ -426,6 +426,10 @@ def _gauss_radius(g, det: float, rho: float) -> float:
     return min(rho, (a * a + c * c) / det)
 
 
+# Iteration cap of the Lagrange-Gauss loops, scalar and stacked.
+_GAUSS_CAP = 256
+
+
 def _gauss_reduce(g):
     """Lagrange-Gauss reduced basis of the column lattice g Z^2, g rows of
     floats; returned in the same form, shortest column first.
@@ -441,7 +445,7 @@ def _gauss_reduce(g):
     vv = b * b + d * d
     if uu > vv:
         a, b, c, d, uu = b, a, d, c, vv
-    for _ in range(256):
+    for _ in range(_GAUSS_CAP):
         m = round((a * b + c * d) / uu)
         b -= m * a
         d -= m * c
@@ -471,10 +475,11 @@ def _search_radius(g, g_inv, lattice, rho: float) -> float:
     return best
 
 
-def reduced_conjugator(g: np.ndarray) -> np.ndarray:
-    """Numerically tame representative of the same conjugated lattice: the
-    upper triangle R with positive diagonal and determinant 1 in
-    g u = Q R det(g u)^{1/n}, for u in GL(n,Z) that reduces the columns of g.
+def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
+    """Numerically tame representative of the same conjugated lattice, for
+    one matrix g or for each matrix of a stack: the upper triangle R with
+    positive diagonal and determinant 1 in g u = Q R det(g u)^{1/n}, for u
+    in GL(n,Z) that reduces the columns of g.  Returns the same shape.
 
     u normalises SL(n,Z), so g u SL(n,Z) u^{-1} g^{-1} = g SL(n,Z) g^{-1};
     Q is orthogonal and X -> Q^T X Q fixes every Frobenius norm; scalars
@@ -486,21 +491,71 @@ def reduced_conjugator(g: np.ndarray) -> np.ndarray:
     s_lambda, conjugation by P maps Haar measure on SO(n) to itself, and
     k is absorbed into the Haar rotations k1 and k2.
 
-    At n = 2, u is the Lagrange-Gauss reduction (_gauss_reduce), in python
-    floats: with shortest column v = (a, c), second column (b, d) and
-    s = sqrt|ad - bc|, R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].  The
-    columns of R are then still reduced: |r12| <= r11 / 2 and
-    r11^2 <= r12^2 + r22^2.  At n >= 3, u is the LLL reduction and R comes
-    from a QR of the reduced basis, its diagonal made positive; |det(g u)|
-    is then the product of that diagonal.
+    At n = 2, u is the Lagrange-Gauss reduction, one masked pass over the
+    whole stack (_gauss_reduce_stack, bit-identical to _gauss_reduce on
+    each matrix): with shortest column v = (a, c), second column (b, d)
+    and s = sqrt|ad - bc|, R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].
+    The columns of R are then still reduced: |r12| <= r11 / 2 and
+    r11^2 <= r12^2 + r22^2.  At n >= 3, each matrix takes the LLL
+    reduction, and R comes from a QR of the reduced basis, its diagonal
+    made positive; |det(g u)| is then the product of that diagonal.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape == (2, 2):
-        (a, b), (c, d) = _gauss_reduce(g.tolist())
-        v = math.sqrt(a * a + c * c)
-        s = math.sqrt(abs(a * d - b * c))
-        return np.array([[v / s, (a * b + c * d) / (v * s)], [0.0, s / v]])
-    reduced, _ = _lll_reduce(g)
-    r = np.linalg.qr(reduced, mode="r")
-    r *= np.sign(np.diag(r))[:, None]
-    return r / np.prod(np.diag(r)) ** (1.0 / g.shape[0])
+    gs = np.asarray(gs, dtype=float)
+    if gs.ndim == 2:
+        return reduced_conjugator(gs[None])[0]
+    n = gs.shape[-1]
+    if n == 2:
+        a, b, c, d = _gauss_reduce_stack(gs)
+        v = np.sqrt(a * a + c * c)
+        s = np.sqrt(np.abs(a * d - b * c))
+        out = np.zeros_like(gs)
+        out[:, 0, 0] = v / s
+        out[:, 0, 1] = (a * b + c * d) / (v * s)
+        out[:, 1, 1] = s / v
+        return out
+    out = np.empty_like(gs)
+    for i, g in enumerate(gs):
+        reduced, _ = _lll_reduce(g)
+        r = np.linalg.qr(reduced, mode="r")
+        r *= np.sign(np.diag(r))[:, None]
+        out[i] = r / np.prod(np.diag(r)) ** (1.0 / n)
+    return out
+
+
+def _gauss_reduce_stack(gs: np.ndarray) -> tuple:
+    """_gauss_reduce of every 2 x 2 matrix of a stack, as the four entry
+    arrays (a, b, c, d) of the reduced bases [[a, b], [c, d]].
+
+    The same operations in the same order on float arrays: np.rint rounds
+    half to even like python's round, and adding 0.0 turns its -0.0 into
+    the 0.0 of python's int 0, so every entry is bit-identical to the
+    scalar loop.  Each iteration works on the matrices still reducing
+    only; a matrix leaves once its reduced column is no shorter, and all
+    stop after _GAUSS_CAP iterations, as in the scalar loop.  One call
+    costs more than a loop of _gauss_reduce on stacks of a few dozen
+    matrices and less from about a hundred, so the radii keep the scalar
+    form.
+    """
+    a, b, c, d = (gs[:, i, j] for i in range(2) for j in range(2))
+    uu = a * a + c * c
+    vv = b * b + d * d
+    swap = uu > vv
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    c, d = np.where(swap, d, c), np.where(swap, c, d)
+    uu = np.where(swap, vv, uu)
+    live = np.arange(len(gs))
+    for _ in range(_GAUSS_CAP):
+        la, lb, lc, ld, lu = a[live], b[live], c[live], d[live], uu[live]
+        m = np.rint((la * lb + lc * ld) / lu) + 0.0
+        lb = lb - m * la
+        ld = ld - m * lc
+        lv = lb * lb + ld * ld
+        done = lv >= lu
+        b[live[done]] = lb[done]
+        d[live[done]] = ld[done]
+        go = ~done
+        live = live[go]
+        a[live], b[live], c[live], d[live], uu[live] = lb[go], la[go], ld[go], lc[go], lv[go]
+        if not live.size:
+            break
+    return a, b, c, d

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import mu_s_draw
+from thinpart.harness import cli, experiments
 from thinpart.harness.cli import main as cli_main
 from thinpart.harness.config import (
     ConfigError,
@@ -25,8 +26,10 @@ from thinpart.harness.experiments import (
     _TAG_DRIFT_BASE,
     _TAG_WALK,
     _WALK_BLOCK,
+    _WALK_CHAINS,
     InsufficientDataError,
     WalkCapError,
+    conjugation_walk,
     drift_parameters,
     expansion_indicator,
     run_evanescence,
@@ -259,21 +262,28 @@ class TestRunners:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_walk_step_is_a_mu_s_draw(self):
-        # the walk is g_t = reduced_conjugator(k1 s_lambda k2 g_{t-1}) with k1
-        # and k2 of every step drawn in turn from the one walk stream; every
-        # radius of the report is recomputed.  Haar measure puts 3 rho / pi
-        # of the walk below rho, so 1700 steps expect about 10 there
-        cfg = dataclasses.replace(_SMALL, walk_length=1700)
-        sp, rp = derive_group(cfg)
+        # the walk is _WALK_CHAINS chains g_k = reduced_conjugator(k1 s_lambda
+        # k2 g_{k-1}), global step t on chain (t - 1) mod _WALK_CHAINS, with
+        # k1 and k2 of every step drawn in step order from the one walk
+        # stream; every radius of the report is recomputed one step at a
+        # time.  A chain needs a few steps from the identity to reach the
+        # cusp, after which Haar measure puts 3 rho / pi of it below rho, so
+        # 3000 steps (23 per chain) expect about 15 there
+        cfg = dataclasses.replace(_SMALL, walk_length=3000)
+        _, rp = derive_group(cfg)
+        rows, error = self._stepwise_walk(cfg)
         rep = run_stationary_bound(cfg, p_hat=0.88)
-        rng = np.random.default_rng([cfg.seed, _TAG_WALK, 0])
-        g = np.eye(cfg.group_n)
-        radii = []
-        for _ in range(cfg.walk_length):
-            g = reduced_conjugator(mu_s_draw(sp, rng) @ g)
-            radii.append(discreteness_radius(g, rp))
-        assert [(t, r) for t, r, _ in rep.samples] == list(enumerate(radii, start=1))
-        assert any(r < rp.rho for r in radii)  # not only the ceiling
+        assert error is None
+        assert [(t, r) for t, r, _ in rep.samples] == rows
+        assert sum(r < rp.rho for _, r in rows) >= 5  # not only the ceiling
+
+    def test_n3_walk_matches_stepwise_walk(self):
+        # the n >= 3 branch of the stacked reduced_conjugator: LLL and QR per
+        # matrix, against one step at a time
+        cfg = dataclasses.replace(_SMALL, group_n=3, walk_length=400, eps_grid=(1e-5, 1e-6))
+        rows, error = self._stepwise_walk(cfg)
+        assert error is None
+        assert conjugation_walk(cfg) == rows
 
     @pytest.mark.parametrize("experiment, runner, columns", [
         ("key-inequality", run_key_inequality,
@@ -304,12 +314,19 @@ class TestRunners:
             run_integrability(dataclasses.replace(_SMALL, walk_length=1), p_hat=0.88)
 
     def test_integrability_walk_matches_stationary_walk(self):
-        # both experiments deliberately share the walk stream
+        # both experiments deliberately share the walk stream, and a walk
+        # handed in (as the pipeline does) gives the bytes of a fresh one
         stat = run_stationary_bound(_SMALL, p_hat=0.88)
         integ = run_integrability(_SMALL, p_hat=0.88)
         stat_radii = {t: r for t, r, kept in stat.samples if kept}
-        for t, r, _, _ in integ.samples[:50]:
-            assert stat_radii[t] == r
+        assert [(t, r) for t, r, _, _ in integ.samples] == sorted(stat_radii.items())
+        walk = conjugation_walk(_SMALL)
+        for alone, runner in ((stat, run_stationary_bound), (integ, run_integrability)):
+            shared = runner(_SMALL, p_hat=0.88, walk=walk)
+            assert render_report_json(shared) == render_report_json(alone)
+            assert render_samples_csv(shared) == render_samples_csv(alone)
+        with pytest.raises(ConfigError, match="walk rows"):
+            run_integrability(_SMALL, p_hat=0.88, walk=walk[:-1])
 
     def test_evanescence_needs_n2(self):
         cfg = ExperimentConfig(group_n=3, eps_grid=(1e-7, 1e-8))
@@ -323,17 +340,21 @@ class TestRunners:
 
     @staticmethod
     def _stepwise_walk(cfg):
-        # the walk one step at a time with scalar radii: (rows, None), or
-        # (rows so far, WalkCapError fields) once incidents pass the limit
+        # the walk one step at a time over the same chain layout, with
+        # scalar reductions and radii: global step t advances chain
+        # (t - 1) mod _WALK_CHAINS by the next draw of the walk stream.
+        # Returns (rows, None), or (rows so far, WalkCapError fields) once
+        # incidents pass the limit
         sp, rp = derive_group(cfg)
         rng = np.random.default_rng([cfg.seed, _TAG_WALK, 0])
-        g = np.eye(cfg.group_n)
+        chains = [np.eye(cfg.group_n)] * _WALK_CHAINS
         rows = []
         incidents = 0
         for t in range(1, cfg.walk_length + 1):
-            g = reduced_conjugator(mu_s_draw(sp, rng) @ g)
+            chain = (t - 1) % _WALK_CHAINS
+            chains[chain] = reduced_conjugator(mu_s_draw(sp, rng) @ chains[chain])
             try:
-                radius = discreteness_radius(g, rp)
+                radius = discreteness_radius(chains[chain], rp)
             except EnumerationCapError as exc:
                 incidents += 1
                 if incidents > max(5, cfg.walk_length // 200):
@@ -343,24 +364,30 @@ class TestRunners:
         return rows, None
 
     @pytest.mark.parametrize("seed, length, cap, raises", [
+        (_SMALL.seed, 100, 0, False),
         (_SMALL.seed, 200, 0, False),
         (_SMALL.seed, _WALK_BLOCK, 0, False),
         (_SMALL.seed, 700, 1, False),
-        (5, 600, 0, True),
-        (12, 300, 0, True),
+        (1, 600, 0, True),
+        (15, 600, 0, True),
     ])
     def test_walk_cap_path_matches_stepwise_walk(self, monkeypatch, seed, length, cap, raises):
         # with the entry cap at 0 (1), every step whose window is at least
         # 1 (2) is an incident: the walk records None at exactly the steps
         # where the scalar radius raises, and stops with the same
-        # WalkCapError (at step 433, in the second block, at seed 5; at step
-        # 223, in the first, at seed 12), whether the length is below, at or
-        # off a multiple of the block size
+        # WalkCapError, in mid-round: at step 570 (chain 57 of the fifth
+        # round, third block) at seed 1, at step 422 (chain 37 of the
+        # fourth round, second block) at seed 15.  The lengths sit below
+        # one round of _WALK_CHAINS steps (100), at a block (256) and off a
+        # multiple of the round (200, 600, 700); a chain's first step from
+        # the identity is too tame for an incident, so only walks longer
+        # than a round have one
         monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", cap)
         cfg = dataclasses.replace(_SMALL, seed=seed, walk_length=length)
         rows, error = self._stepwise_walk(cfg)
         assert (error is not None) == raises
         if raises:
+            assert 0 < (error[0] - 1) % _WALK_CHAINS < _WALK_CHAINS - 1
             with pytest.raises(WalkCapError) as info:
                 run_stationary_bound(cfg, p_hat=0.88)
             err = info.value
@@ -370,7 +397,8 @@ class TestRunners:
         rep = run_stationary_bound(cfg, p_hat=0.88)
         assert [(t, r) for t, r, _ in rep.samples] == rows
         nones = [t for t, r in rows if r is None]
-        assert nones and rep.summary["cap_incidents"] == len(nones)
+        assert bool(nones) == (length > _WALK_CHAINS)
+        assert rep.summary["cap_incidents"] == len(nones)
         assert all(not kept for t, r, kept in rep.samples if r is None)
 
     def test_drift_cap_error_is_the_first_stepwise_one(self, monkeypatch):
@@ -506,11 +534,21 @@ class TestCli:
         assert code == 1
         assert "error: eps_grid" in capsys.readouterr().err
 
-    def test_pipeline_feeds_measured_p_hat(self, tmp_path, capsys):
+    def test_pipeline_feeds_measured_p_hat(self, tmp_path, capsys, monkeypatch):
+        # p_hat feeds forward, and the two walk stages share one walk
+        walks = []
+
+        def counted_walk(cfg):
+            walks.append(cfg)
+            return conjugation_walk(cfg)
+
+        monkeypatch.setattr(cli, "conjugation_walk", counted_walk)
+        monkeypatch.setattr(experiments, "conjugation_walk", counted_walk)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_SMALL.to_json_dict()))
         out = tmp_path / "p"
         code = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        assert walks == [_SMALL]
         assert sorted(p.name for p in out.iterdir()) == sorted([
             "constants", "expansion-prob", "key-inequality",
             "stationary-bound", "integrability", "evanescence",

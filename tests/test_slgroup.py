@@ -25,6 +25,7 @@ from oracles import (
 )
 from thinpart.harness.config import ExperimentConfig, derive_group
 from thinpart.harness.experiments import sample_base_conjugator
+from thinpart import slgroup
 from thinpart.linalg import frobenius, haar_orthogonal
 from thinpart.slgroup import (
     DEFAULT_ENTRY_CAP,
@@ -34,6 +35,8 @@ from thinpart.slgroup import (
     ZASSENHAUS_RADIUS,
     _entry_bounds,
     _gauss_radius,
+    _gauss_reduce,
+    _gauss_reduce_stack,
     _lll_reduce,
     _search_ball,
     _search_radius,
@@ -611,6 +614,96 @@ class TestStacked:
         for gs in (np.eye(2), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan)):
             with pytest.raises(ValueError):
                 discreteness_radii(gs, _LOOSE_RP)
+
+
+class TestStackedReduction:
+    """The stacked reduced_conjugator equals its one-matrix forms bit for
+    bit, signed zeros included: at n = 2 the masked Lagrange-Gauss pass
+    against the scalar _gauss_reduce, at n >= 3 against one call per
+    matrix."""
+
+    @staticmethod
+    def _scalar_gauss(gs):
+        return np.array([_gauss_reduce(g.tolist()) for g in gs])
+
+    @staticmethod
+    def _stacked_gauss(gs):
+        a, b, c, d = _gauss_reduce_stack(np.asarray(gs, dtype=float))
+        return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
+
+    @staticmethod
+    def _scalar_triangle(g):
+        # the n = 2 triangle built in python floats from _gauss_reduce
+        (a, b), (c, d) = _gauss_reduce(g.tolist())
+        v = math.sqrt(a * a + c * c)
+        s = math.sqrt(abs(a * d - b * c))
+        return np.array([[v / s, (a * b + c * d) / (v * s)], [0.0, s / v]])
+
+    @staticmethod
+    def _mu_s_products(count, seed):
+        # walk-like inputs, a draw times a reduced conjugator, and products
+        # of up to 12 draws, which take up to a dozen Lagrange-Gauss steps
+        rng = np.random.default_rng(seed)
+        walk = [mu_s_draw(_DEFAULT_SP, rng) @ g for g in _walk_conjugators(count)]
+        wild = []
+        for length in range(count):
+            g = np.eye(2)
+            for _ in range(length % 12 + 1):
+                g = mu_s_draw(_DEFAULT_SP, rng) @ g
+            wild.append(g)
+        return np.stack(walk + wild)
+
+    def test_mu_s_products_match_scalar(self):
+        gs = self._mu_s_products(150, 50)
+        want = self._scalar_gauss(gs)
+        assert self._stacked_gauss(gs).tobytes() == want.tobytes()
+        got = reduced_conjugator(gs)
+        assert got.shape == gs.shape
+        assert got.tobytes() == np.stack([self._scalar_triangle(g) for g in gs]).tobytes()
+
+    def test_half_integer_ties_round_to_even(self):
+        # u = (1, 0) and v = (t, 1) give the ratio t exactly; python's round
+        # and np.rint both send +-0.5 to 0 and +-1.5, +-2.5 to +-2.  The last
+        # matrix rounds -0.198 to np.rint's -0.0, which must act as python's
+        # int 0 on the -0.0 entry it reduces
+        ties = [[[1.0, t], [0.0, 1.0]] for t in (0.5, -0.5, 1.5, -1.5, 2.5, -2.5)]
+        gs = np.array(ties + [[[1.0, -0.0], [0.1, -2.0]]])
+        want = self._scalar_gauss(gs)
+        assert self._stacked_gauss(gs).tobytes() == want.tobytes()
+        assert want[:6, 0, 1].tolist() == [0.5, -0.5, -0.5, 0.5, 0.5, -0.5]
+        assert math.copysign(1.0, want[6, 0, 1]) == -1.0
+
+    def test_stack_of_one(self):
+        for g in self._mu_s_products(5, 51):
+            assert self._stacked_gauss(g[None]).tobytes() == self._scalar_gauss(g[None]).tobytes()
+            single = reduced_conjugator(g)
+            assert single.shape == (2, 2)
+            assert single.tobytes() == reduced_conjugator(g[None])[0].tobytes()
+            assert single.tobytes() == self._scalar_triangle(g).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_iteration_cap(self, monkeypatch, cap):
+        # no float input found needs 256 iterations, so the shared cap is
+        # lowered until it binds on part of the stack: both loops stop
+        # after the same swap there and agree everywhere else
+        gs = self._mu_s_products(60, 52)
+        uncapped = self._scalar_gauss(gs)
+        monkeypatch.setattr(slgroup, "_GAUSS_CAP", cap)
+        want = self._scalar_gauss(gs)
+        assert self._stacked_gauss(gs).tobytes() == want.tobytes()
+        capped = sum(not np.array_equal(w, u) for w, u in zip(want, uncapped))
+        assert 0 < capped < len(gs)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_higher_rank_stack_matches_single_calls(self, n):
+        sp = expanding_element(n, 55.0, math.exp(-1.0))
+        rng = np.random.default_rng([53, n])
+        gs = np.stack([mu_s_draw(sp, rng) @ mu_s_draw(sp, rng) for _ in range(12)])
+        got = reduced_conjugator(gs)
+        assert got.shape == gs.shape
+        assert got.tobytes() == np.stack([reduced_conjugator(g) for g in gs]).tobytes()
+        for g, r in zip(gs, got):
+            assert not np.tril(r, -1).any() and (np.diag(r) > 0.0).all()
 
 
 class TestGaussOracle:
