@@ -1,17 +1,16 @@
 """Sublevel-set measurements for scalar fields.
 
 The quantity of interest is how much mass |f| < eps carries, either on a box
-in R^d (Monte Carlo with a CLT band) or on SO(n) against Haar measure, where
-the decay rate in eps is fitted as a power law.  Samples are counted _BLOCK
-at a time, so memory is of order _BLOCK, not n_samples.
+in R^d (Monte Carlo) or on SO(n) against Haar measure, where the decay rate
+in eps is fitted as a power law.  Samples are counted _BLOCK at a time, so
+memory is of order _BLOCK, not n_samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "GridTooSmallError",
     "ScalarField",
     "Box",
-    "MeasureEstimate",
     "sublevel_measure",
     "compact_group_sublevel_measures",
     "compact_group_sublevel_fit",
@@ -40,7 +38,6 @@ class ScalarField:
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    label: str
 
 
 @dataclass(frozen=True)
@@ -60,18 +57,9 @@ class Box:
         return self.center.shape[0]
 
 
-class MeasureEstimate(NamedTuple):
-    value: float
-    halfwidth: float  # 3 sigma CLT band
-
-
-def _band(p_hat: float, n: int) -> float:
-    return 3.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-
-
 def sublevel_measure(
     f: ScalarField, box: Box, eps: float, n_samples: int, rng: np.random.Generator
-) -> MeasureEstimate:
+) -> float:
     """Monte Carlo estimate of the normalized volume of {|f| < eps} in the box."""
     if f.dim != box.dim:
         raise ValueError("field and box dimensions disagree")
@@ -83,8 +71,7 @@ def sublevel_measure(
     def draw(m):
         return f.eval(box.center + box.radius * rng.uniform(-1.0, 1.0, size=(m, box.dim)))
 
-    p_hat = int(_count_below(draw, n_samples, [eps])[0]) / n_samples
-    return MeasureEstimate(p_hat, _band(p_hat, n_samples))
+    return int(_count_below(draw, n_samples, [eps])[0]) / n_samples
 
 
 def _count_below(draw, n_samples: int, eps_arr) -> np.ndarray:

@@ -24,25 +24,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitSpace:
-    """Complementary projections P + P' = I onto U and U'."""
+    """The projection P onto U of a split R^n = U + U' (along U')."""
 
     ambient_dim: int
     proj_u: np.ndarray = field(repr=False)
-    proj_uprime: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.proj_u, dtype=float)
-        q = np.asarray(self.proj_uprime, dtype=float)
         n = self.ambient_dim
-        if p.shape != (n, n) or q.shape != (n, n):
-            raise ValueError("projections must be n x n")
-        if np.abs(p + q - np.eye(n)).max() > 1e-12:
-            raise ValueError("projections do not sum to the identity")
-        for name, m in (("proj_u", p), ("proj_uprime", q)):
-            if np.abs(m @ m - m).max() > 1e-12:
-                raise ValueError(f"{name} is not idempotent")
+        if p.shape != (n, n):
+            raise ValueError("projection must be n x n")
+        if np.abs(p @ p - p).max() > 1e-12:
+            raise ValueError("proj_u is not idempotent")
         object.__setattr__(self, "proj_u", p)
-        object.__setattr__(self, "proj_uprime", q)
 
     @property
     def dim_u(self) -> int:
@@ -53,8 +47,7 @@ def split_from_basis(u_basis: np.ndarray) -> SplitSpace:
     """Orthogonal split onto span(columns) and its complement."""
     b = np.asarray(u_basis, dtype=float)
     q, _ = np.linalg.qr(b)
-    p = q @ q.T
-    return SplitSpace(b.shape[0], p, np.eye(b.shape[0]) - p)
+    return SplitSpace(b.shape[0], q @ q.T)
 
 
 def _restricted_singular_values(ss: SplitSpace, w: Subspace) -> np.ndarray:

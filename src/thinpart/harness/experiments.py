@@ -36,7 +36,6 @@ from ..slgroup import (
     EnumerationCapError,
     RadiusParams,
     discreteness_radii,
-    discreteness_radius,
     mu_s_draws,
     reduced_conjugator,
 )
@@ -111,20 +110,21 @@ def expansion_indicator(i_expanded, i_base):
     return i_expanded >= _EXPANSION_FACTOR * i_base
 
 
-def model_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
-    """Discreteness radius of the conjugated lattice, in one call."""
-    return discreteness_radius(conjugator, rp)
+def model_radius(conjugators: np.ndarray, rp: RadiusParams) -> float | list:
+    """Discreteness radius of one conjugator, or the list of radii of a
+    stack, as reduced_conjugator takes one matrix or a stack.
 
-
-def _stack_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
-    """model_radius of every matrix in a stack, from one discreteness_radii
-    call; raises the first entry's EnumerationCapError, as a loop of
-    model_radius calls would."""
-    radii = discreteness_radii(conjugators, rp)
+    One discreteness_radii call; an entry over the entry window raises its
+    EnumerationCapError, the first such entry in stack order, as a loop
+    over the stack would.
+    """
+    gs = np.asarray(conjugators, dtype=float)
+    single = gs.ndim == 2
+    radii = discreteness_radii(gs[None] if single else gs, rp)
     for radius in radii:
         if isinstance(radius, EnumerationCapError):
             raise radius
-    return radii
+    return radii[0] if single else radii
 
 
 def sample_base_conjugator(
@@ -182,6 +182,11 @@ def _pool_map(fn, tasks, workers: int) -> list:
         return list(ex.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
+def _binomial_band(p: float, n: int) -> float:
+    """_SIGMAS standard errors of a proportion p measured over n draws."""
+    return _SIGMAS * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
 def _report(experiment, cfg, columns, samples, summary, verdicts) -> ExperimentReport:
     return ExperimentReport(
         experiment=experiment,
@@ -212,7 +217,7 @@ def _expansion_base_task(seed, sp, rp, per_model, index):
     rotated = haar_rotations(rng.standard_normal((per_model, sp.n, sp.n))) @ g
     # each rotated model next to its expanded one, in the order of the rows
     pairs = np.stack([rotated, sp.s_lambda @ rotated], axis=1).reshape(-1, sp.n, sp.n)
-    radii = _stack_radii(pairs, rp)
+    radii = model_radius(pairs, rp)
     rows = [
         (idx, index, i_rotated, i_expanded)
         for idx, i_rotated, i_expanded in zip(indices, radii[0::2], radii[1::2])
@@ -247,7 +252,7 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
     flags = expansion_indicator(i_exp, i_rot)
     n_pairs = len(rows)
     p_hat = float(np.mean(flags))
-    band = _SIGMAS * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_pairs)
+    band = _binomial_band(p_hat, n_pairs)
     floor_fraction = float(np.mean(i_exp >= i_rot / sp.ad_norm * (1.0 - 1e-9)))
 
     samples = [(*r, bool(f)) for r, f in zip(rows, flags)]
@@ -312,7 +317,7 @@ def _drift_base_task(seed, sp, rp, delta, m, index):
     g = sample_base_conjugator(sp.n, rng)
     indices = range(index * m, (index + 1) * m)
     stepped = mu_s_draws(sp, rng, m) @ g
-    *radii, base = _stack_radii(np.concatenate([stepped, g[None]]), rp)
+    *radii, base = model_radius(np.concatenate([stepped, g[None]]), rp)
     rows = [(idx, radius, radius ** (-delta)) for idx, radius in zip(indices, radii)]
     return base, rows
 
@@ -480,7 +485,7 @@ def run_stationary_bound(cfg: ExperimentConfig, p_hat=None, walk=None) -> Experi
     min_margin = math.inf
     for eps in cfg.eps_grid:
         frac = float(np.mean(radii < eps))
-        band = _SIGMAS * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_ret)
+        band = _binomial_band(frac, n_ret)
         bound = markov_superlevel_bound(cp.c, cp.b, eps ** (-cp.delta))
         ok = frac - band <= bound
         margin = bound - (frac - band)
@@ -697,12 +702,12 @@ def run_goodfn(cfg: ExperimentConfig) -> ExperimentReport:
     box = Box(center=np.zeros(1), radius=1.0)
     eps_pair = (1e-2, 1e-4)
     for d in (1, 2, 3):
-        field = ScalarField(1, lambda pts, d=d: math.prod([pts[:, 0]] * d), f"x^{d}")
+        field = ScalarField(1, lambda pts, d=d: math.prod([pts[:, 0]] * d))
         measures = []
         for eps in eps_pair:
-            est = sublevel_measure(field, box, eps, 4_000_000, rng)
-            measures.append(est.value)
-            samples.append((f"monomial-{d}", eps, est.value, eps ** (1.0 / d)))
+            measure = sublevel_measure(field, box, eps, 4_000_000, rng)
+            measures.append(measure)
+            samples.append((f"monomial-{d}", eps, measure, eps ** (1.0 / d)))
         slope = (math.log(measures[0]) - math.log(measures[1])) / (
             math.log(eps_pair[0]) - math.log(eps_pair[1])
         )

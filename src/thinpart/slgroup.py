@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class SemisimpleParams:
     n0: int
     s_lambda: np.ndarray
     ad_norm: float
-    ad_inv_norm_on_uminus: float
 
     def __post_init__(self):
         d = np.diag(self.s_lambda).copy()
@@ -75,8 +75,7 @@ def expanding_element(n: int, lam: float, x0: float) -> SemisimpleParams:
     n0 is the largest integer with (1/x0)^{n0} <= lam, so the adjoint norm
     lambda0^{n0 * ht} never exceeds lam^ht.  Ad(s) scales the (i, j) entry
     by s_ii / s_jj, so |Ad(s_lambda)| is the largest diagonal ratio
-    lambda0^{n0 * ht}, and on the strictly lower triangle Ad(s_lambda^{-1})
-    has norm lambda0^{-n0}, the ratio of adjacent entries.
+    lambda0^{n0 * ht}.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -97,17 +96,10 @@ def expanding_element(n: int, lam: float, x0: float) -> SemisimpleParams:
     s_lambda = np.diag(x0 ** (n0 * exponents))
     gc = group_constants(n)
     ad_norm = lambda0 ** (n0 * gc.ht_sum)
-    ad_inv = lambda0 ** (-n0)
     if ad_norm > lam**gc.ht_sum * (1.0 + 1e-12):
         raise ArithmeticError("adjoint norm exceeds the requested scale")
     return SemisimpleParams(
-        n=n,
-        x0=x0,
-        lambda0=lambda0,
-        n0=n0,
-        s_lambda=s_lambda,
-        ad_norm=ad_norm,
-        ad_inv_norm_on_uminus=ad_inv,
+        n=n, x0=x0, lambda0=lambda0, n0=n0, s_lambda=s_lambda, ad_norm=ad_norm
     )
 
 
@@ -155,6 +147,8 @@ def _entry_bounds(gs: np.ndarray, r: float) -> list:
     below x is at most floor(x).  The half unit added before flooring
     absorbs the case where x lands a round-off below a whole number.
     One stacked SVD, then python floats, which round exactly as numpy's do.
+    A window past the float range (cond_2(g) above about 1.8e308) is
+    floored in exact rational arithmetic, so it is still a python int.
     """
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
@@ -163,7 +157,10 @@ def _entry_bounds(gs: np.ndarray, r: float) -> list:
     for largest, smallest in np.linalg.svd(gs, compute_uv=False)[:, [0, -1]].tolist():
         if smallest <= 0.0:
             raise ValueError("conjugator must be invertible")
-        bounds.append(math.floor(largest / smallest * r * growth + 0.5))
+        x = largest / smallest * r * growth + 0.5
+        if not math.isfinite(x):  # inf, or nan when r = 0
+            x = Fraction(largest) / Fraction(smallest) * Fraction(r * growth) + Fraction(1, 2)
+        bounds.append(math.floor(x))
     return bounds
 
 
@@ -312,8 +309,9 @@ def _unipotent_log_norm(g, g_inv, nil):
     return frobenius(g @ log @ g_inv)
 
 
-def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
-    """Smallest log-norm among elements of g SL(n,Z) g^{-1}, capped at rho.
+def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
+    """Smallest log-norm among elements of g SL(n,Z) g^{-1}, capped at rho,
+    for every matrix g of a stack, one list entry each.
 
     n = 2 has a closed form, min(rho, lambda_1(g Z^2)^2 / det g), by
     Lagrange-Gauss reduction (_gauss_radius, whose docstring holds the
@@ -325,40 +323,25 @@ def discreteness_radius(conjugator: np.ndarray, rp: RadiusParams) -> float:
     inflation of the radius covers search round-off.  Every hit must be
     unipotent, since no other element reaches log-norm rho, and its
     log-norm is a finite nilpotent sum (_unipotent_log_norm, whose
-    docstring holds the proof).  Each confirmed hit of log-norm
-    v below the best so far shrinks the ball to the padded v e^v: every
-    element of log-norm at most v still lies inside, so the minimiser is
-    still found and the result is the same as over the full ball.  Raises
-    EnumerationCapError when the entry window of _entry_bounds exceeds
-    DEFAULT_ENTRY_CAP, at every n.  The one-matrix case of
-    discreteness_radii.
-    """
-    g = np.asarray(conjugator, dtype=float)
-    if g.ndim != 2:
-        raise ValueError(f"conjugator must be square, got shape {g.shape}")
-    (radius,) = discreteness_radii(g[None], rp)
-    if isinstance(radius, EnumerationCapError):
-        raise radius
-    return radius
+    docstring holds the proof).  Each confirmed hit of log-norm v below
+    the best so far shrinks the ball to the padded v e^v: every element
+    of log-norm at most v still lies inside, so the minimiser is still
+    found and the result is the same as over the full ball.
 
-
-def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
-    """discreteness_radius of every matrix in a stack, one list entry each.
-
-    An entry whose entry window exceeds DEFAULT_ENTRY_CAP holds its
-    EnumerationCapError in place of a radius, so a caller can tolerate
-    such entries one at a time; an invalid entry (not finite, not
-    invertible, determinant off 1) raises ValueError for the whole stack,
-    as does a rho too large for every element of log-norm at most rho to
-    be unipotent: rho > ZASSENHAUS_RADIUS or K^2 rho^2 e^{K rho} / 2 >= 1
-    with K = ceil((n - 1) / 2), which at rho = 0.34 refuses n >= 6.
-    The front end runs once per stack and for every n: the entry-bound
-    SVDs, the determinants, the cap check and the rho shortcut of entries
-    whose window is empty.  The entries left over take _gauss_radius at
-    n = 2; at n >= 3 they take the inverses and the kron(g, g^{-T})
-    lattices, broadcast as plain products, and then _search_radius.  Each
-    stacked piece is bit-identical to its one-matrix form, so every entry
-    equals discreteness_radius of its matrix.
+    An entry whose entry window (_entry_bounds) exceeds DEFAULT_ENTRY_CAP
+    holds its EnumerationCapError in place of a radius, at every n, so a
+    caller can tolerate such entries one at a time; an invalid entry (not
+    finite, not invertible, determinant off 1) raises ValueError for the
+    whole stack, as does a rho too large for every element of log-norm at
+    most rho to be unipotent: rho > ZASSENHAUS_RADIUS or
+    K^2 rho^2 e^{K rho} / 2 >= 1 with K = ceil((n - 1) / 2), which at
+    rho = 0.34 refuses n >= 6.  The front end runs once per stack and for
+    every n: the entry-bound SVDs, the determinants, the cap check and the
+    rho shortcut of entries whose window is empty.  The entries left over
+    take _gauss_radius at n = 2; at n >= 3 they take the inverses and the
+    kron(g, g^{-T}) lattices, broadcast as plain products, and then
+    _search_radius.  Each stacked piece is bit-identical to its one-matrix
+    form, so an entry does not depend on the rest of the stack.
     """
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
@@ -457,7 +440,7 @@ def _gauss_reduce(g):
 
 
 def _search_radius(g, g_inv, lattice, rho: float) -> float:
-    # the LLL-reduced, shrinking ball search of discreteness_radius
+    # the LLL-reduced, shrinking ball search of discreteness_radii
     n = g.shape[0]
     reduced, transform = _lll_reduce(lattice)
     rmat = np.linalg.qr(reduced, mode="r")
@@ -533,8 +516,10 @@ def _gauss_reduce_stack(gs: np.ndarray) -> tuple:
     only; a matrix leaves once its reduced column is no shorter, and all
     stop after _GAUSS_CAP iterations, as in the scalar loop.  One call
     costs more than a loop of _gauss_reduce on stacks of a few dozen
-    matrices and less from about a hundred, so the radii keep the scalar
-    form.
+    matrices and less from about a hundred.  So the radii keep the scalar
+    loop (_gauss_radius), which also serves the radius calls on a single
+    matrix: evanescence's 42 calls per run, one per cusp point, and
+    expansion-prob's thin-filter tries, one per draw.
     """
     a, b, c, d = (gs[:, i, j] for i in range(2) for j in range(2))
     uu = a * a + c * c

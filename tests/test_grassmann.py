@@ -70,11 +70,11 @@ class TestProjectionBound:
             assert holds, f"case {case}: slack {slack}"
 
     def test_requires_symmetric_projection(self):
-        # oblique split: projections sum to I but are not orthogonal
+        # oblique split: an idempotent P that is not orthogonal
         p = np.array([[1.0, 1.0], [0.0, 0.0]])
         from thinpart.grassmann import SplitSpace
 
-        ss = SplitSpace(2, p, np.eye(2) - p)
+        ss = SplitSpace(2, p)
         w = Subspace(2, np.eye(2)[:, :1])
         with pytest.raises(ValueError):
             check_projection_bound(ss, w)

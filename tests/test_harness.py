@@ -32,6 +32,7 @@ from thinpart.harness.experiments import (
     conjugation_walk,
     drift_parameters,
     expansion_indicator,
+    model_radius,
     run_evanescence,
     run_expansion_probability,
     run_goodfn,
@@ -50,7 +51,6 @@ from thinpart.harness.report import (
 )
 from thinpart.slgroup import (
     EnumerationCapError,
-    discreteness_radius,
     expanding_element,
     reduced_conjugator,
 )
@@ -354,7 +354,7 @@ class TestRunners:
             chain = (t - 1) % _WALK_CHAINS
             chains[chain] = reduced_conjugator(mu_s_draw(sp, rng) @ chains[chain])
             try:
-                radius = discreteness_radius(chains[chain], rp)
+                radius = model_radius(chains[chain], rp)
             except EnumerationCapError as exc:
                 incidents += 1
                 if incidents > max(5, cfg.walk_length // 200):
@@ -413,7 +413,7 @@ class TestRunners:
         required = None
         for m in steps + [g]:
             try:
-                discreteness_radius(m, rp)
+                model_radius(m, rp)
             except EnumerationCapError as exc:
                 required = exc.required
                 break

@@ -24,7 +24,7 @@ from oracles import (
     sl_basis,
 )
 from thinpart.harness.config import ExperimentConfig, derive_group
-from thinpart.harness.experiments import sample_base_conjugator
+from thinpart.harness.experiments import model_radius, sample_base_conjugator
 from thinpart import slgroup
 from thinpart.linalg import frobenius, haar_orthogonal
 from thinpart.slgroup import (
@@ -42,7 +42,6 @@ from thinpart.slgroup import (
     _search_radius,
     _unipotent_log_norm,
     discreteness_radii,
-    discreteness_radius,
     expanding_element,
     mu_s_draws,
     radius_params,
@@ -107,7 +106,6 @@ class TestExpandingElement:
         assert sp.n0 == 4
         assert np.abs(sp.s_lambda - np.diag([E**-2, E**2])).max() <= 1e-12
         assert sp.ad_norm == pytest.approx(E**4, rel=1e-12)
-        assert sp.ad_inv_norm_on_uminus == pytest.approx(E**-4, rel=1e-12)
 
     def test_worked_case_n3(self):
         sp = expanding_element(3, 55.0, math.exp(-1.0))
@@ -129,9 +127,7 @@ class TestExpandingElement:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_closed_forms_match_adjoint_operator(self, n):
-        # the spectral norms of the explicit adjoint matrices, on all of
-        # sl(n) and on the strictly lower block for the inverse
-        dim_u = n * (n - 1) // 2
+        # the spectral norm of the explicit adjoint matrix on all of sl(n)
         for lam in (3.0, 10.0, 55.0, 400.0):
             try:
                 sp = expanding_element(n, lam, math.exp(-1.0))
@@ -139,9 +135,6 @@ class TestExpandingElement:
                 continue
             numeric = op_norm(ad_operator(sp.s_lambda))
             assert abs(numeric - sp.ad_norm) <= 1e-8 * sp.ad_norm
-            inv_block = ad_operator(np.linalg.inv(sp.s_lambda))[:dim_u, :dim_u]
-            numeric_inv = op_norm(inv_block)
-            assert abs(numeric_inv - sp.ad_inv_norm_on_uminus) <= 1e-8 * sp.ad_inv_norm_on_uminus
 
     def test_scale_below_one_step(self):
         with pytest.raises(DegenerateRayError):
@@ -206,7 +199,7 @@ class TestCandidateEnumeration:
         # cond(g) = 1e8 asks for a window of about 4.8e6 at the loose rho
         g = np.diag([1e-4, 1e4])
         with pytest.raises(EnumerationCapError) as info:
-            discreteness_radius(g, _LOOSE_RP)
+            model_radius(g, _LOOSE_RP)
         assert info.value.required > info.value.cap == DEFAULT_ENTRY_CAP
 
     @given(st.integers(0, 100_000))
@@ -369,25 +362,25 @@ def _box_oracle_cases():
 
 class TestDiscretenessRadius:
     def test_identity_model_sits_at_ceiling(self):
-        assert discreteness_radius(np.eye(2), _LOOSE_RP) == _LOOSE_RP.rho
+        assert model_radius(np.eye(2), _LOOSE_RP) == _LOOSE_RP.rho
 
     def test_cusp_closed_form(self):
         t = 10.0
-        got = discreteness_radius(np.diag([1.0 / t, t]), _LOOSE_RP)
+        got = model_radius(np.diag([1.0 / t, t]), _LOOSE_RP)
         assert got == pytest.approx(1e-2, rel=1e-15)
 
     def test_cusp_scaling_family(self):
         for t in (8.0, 12.0, 20.0):
-            got = discreteness_radius(np.diag([1.0 / t, t]), _LOOSE_RP)
+            got = model_radius(np.diag([1.0 / t, t]), _LOOSE_RP)
             assert got == pytest.approx(t**-2, rel=1e-12)
 
     def test_rotation_invariance(self):
         for case in range(20):
             rng = np.random.default_rng([37, case])
             g = sample_base_conjugator(2, rng, cond_low=2.0, cond_high=200.0)
-            base = discreteness_radius(g, _LOOSE_RP)
+            base = model_radius(g, _LOOSE_RP)
             k = haar_orthogonal(2, rng)
-            assert abs(discreteness_radius(k @ g, _LOOSE_RP) - base) <= 1e-9
+            assert abs(model_radius(k @ g, _LOOSE_RP) - base) <= 1e-9
 
     def test_global_expansion_floor(self):
         sp, rp = _LOOSE_SP, _LOOSE_RP
@@ -395,8 +388,8 @@ class TestDiscretenessRadius:
         for case in range(30):
             rng = np.random.default_rng([38, case])
             g = sample_base_conjugator(2, rng, cond_low=2.0, cond_high=200.0)
-            before = discreteness_radius(g, rp)
-            after = discreteness_radius(sp.s_lambda @ g, rp)
+            before = model_radius(g, rp)
+            after = model_radius(sp.s_lambda @ g, rp)
             assert after >= before / sp.ad_norm - 1e-9
             if before < rp.rho:
                 nontrivial += 1
@@ -418,7 +411,7 @@ class TestDiscretenessRadius:
         # through the log of a conjugated matrix, so it agrees to round-off
         nontrivial = 0
         for g, rho, _, best in _box_oracle_cases():
-            got = discreteness_radius(g, RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho))
+            got = model_radius(g, RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho))
             assert abs(got / best - 1.0) <= 1e-10
             nontrivial += best < rho
         assert nontrivial >= 20
@@ -440,7 +433,7 @@ class TestDiscretenessRadius:
                 value = _unipotent_log_norm(g, g_inv, (transform @ y).reshape(3, 3))
                 if value is not None:
                     best = min(best, value)
-            assert discreteness_radius(g, rp) == best
+            assert model_radius(g, rp) == best
             nontrivial += best < rho
         assert nontrivial >= 2
 
@@ -454,7 +447,7 @@ class TestDiscretenessRadius:
             rng = np.random.default_rng([49, case])
             g = sample_base_conjugator(3, rng, cond_low=2.5, cond_high=3.5)
             want = sl3_window_radius(g, rp.rho)
-            assert abs(discreteness_radius(g, rp) / want - 1.0) <= 1e-12
+            assert abs(model_radius(g, rp) / want - 1.0) <= 1e-12
             nontrivial += want < rp.rho
         assert nontrivial >= 20
 
@@ -474,23 +467,23 @@ class TestDiscretenessRadius:
 
     def test_rho_above_zassenhaus_rejected(self):
         with pytest.raises(ValueError):
-            discreteness_radius(np.eye(2), RadiusParams(R=0.5, rho=0.4))
+            model_radius(np.eye(2), RadiusParams(R=0.5, rho=0.4))
 
     def test_rho_past_the_unipotence_bound_rejected(self):
         # K = ceil((n - 1) / 2) is 2 up to n = 5 and 3 at n = 6, where
         # K^2 rho^2 e^{K rho} / 2 = 1.44 >= 1 at rho = 0.34
         rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
         with pytest.raises(ValueError, match="unipotence"):
-            discreteness_radius(np.eye(6), rp)
+            model_radius(np.eye(6), rp)
         for n in (3, 4, 5):
-            assert discreteness_radius(np.eye(n), rp) == rp.rho
+            assert model_radius(np.eye(n), rp) == rp.rho
         _, rp6 = derive_group(ExperimentConfig(group_n=6, eps_grid=(1e-12,)))
-        assert discreteness_radius(np.eye(6), rp6) == rp6.rho
+        assert model_radius(np.eye(6), rp6) == rp6.rho
 
     def test_invalid_conjugator_rejected(self):
         for g in (np.eye(3)[:2], np.diag([np.nan, 1.0]), np.diag([2.0, 1.0])):
             with pytest.raises(ValueError):
-                discreteness_radius(g, _LOOSE_RP)
+                model_radius(g, _LOOSE_RP)
 
 
 class TestReducedConjugator:
@@ -502,8 +495,8 @@ class TestReducedConjugator:
         assert (np.diag(tame) > 0.0).all()
         assert abs(float(np.linalg.det(tame)) - 1.0) <= det_tol
         assert np.linalg.cond(tame) <= np.linalg.cond(wild) * (1.0 + 1e-9)
-        r_wild = discreteness_radius(wild, _LOOSE_RP)
-        r_tame = discreteness_radius(tame, _LOOSE_RP)
+        r_wild = model_radius(wild, _LOOSE_RP)
+        r_tame = model_radius(tame, _LOOSE_RP)
         assert abs(r_wild - r_tame) <= 1e-9
 
     @staticmethod
@@ -579,7 +572,7 @@ class TestStacked:
         stack = [np.eye(2)] + [m for group in itertools.zip_longest(walk, bases, cusp)
                                for m in group if m is not None]
         got = discreteness_radii(np.stack(stack), rp)
-        want = [discreteness_radius(g, rp) for g in stack]
+        want = [model_radius(g, rp) for g in stack]
         assert got == want
         assert got[0] == rp.rho
         assert 20 <= sum(r < rp.rho for r in got) < len(got)
@@ -595,12 +588,63 @@ class TestStacked:
         got = discreteness_radii(np.stack(stack), _LOOSE_RP)
         for i, g in ((1, wide[0]), (3, wide[1])):
             with pytest.raises(EnumerationCapError) as info:
-                discreteness_radius(g, _LOOSE_RP)
+                model_radius(g, _LOOSE_RP)
             assert isinstance(got[i], EnumerationCapError)
             assert (got[i].required, got[i].cap) == (info.value.required, DEFAULT_ENTRY_CAP)
         assert got[1].required < got[3].required
-        assert got[0] == discreteness_radius(stack[0], _LOOSE_RP) < _LOOSE_RP.rho
+        assert got[0] == model_radius(stack[0], _LOOSE_RP) < _LOOSE_RP.rho
         assert got[2] == _LOOSE_RP.rho
+
+    def test_model_radius_raises_the_first_capped_entry(self):
+        # two over-cap entries with different windows: a stack raises the
+        # one that comes first, whichever order they come in
+        wide = [
+            np.diag([1e-4, 1e4]),
+            haar_orthogonal(2, np.random.default_rng(48)) @ np.diag([1e-5, 1e5]),
+        ]
+        required = [discreteness_radii(w[None], _LOOSE_RP)[0].required for w in wide]
+        assert required[0] < required[1]
+        for first, second in ((0, 1), (1, 0)):
+            stack = np.stack([np.diag([0.1, 10.0]), wide[first], np.eye(2), wide[second]])
+            with pytest.raises(EnumerationCapError) as info:
+                model_radius(stack, _LOOSE_RP)
+            assert (info.value.required, info.value.cap) == (required[first], DEFAULT_ENTRY_CAP)
+            with pytest.raises(EnumerationCapError) as info:
+                model_radius(wide[second], _LOOSE_RP)
+            assert info.value.required == required[second]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_model_radius_of_a_stack_and_of_one_matrix(self, n):
+        # cap-free stacks: entry for entry the radii of discreteness_radii,
+        # and one matrix the entry of its stack of one, bit for bit
+        rng = np.random.default_rng([49, n])
+        bases = [sample_base_conjugator(n, rng) for _ in range(12)]
+        stack = np.stack([np.eye(n)] + bases)
+        rp = _DEFAULT_RP if n == 2 else RadiusParams(R=ZASSENHAUS_RADIUS, rho=0.02)
+        got = model_radius(stack, rp)
+        assert got == discreteness_radii(stack, rp)
+        assert got[0] == rp.rho and min(got) < rp.rho
+        for g, want in zip(stack, got):
+            single = model_radius(g, rp)
+            assert type(single) is float
+            assert np.float64(single).tobytes() == np.float64(want).tobytes()
+            assert model_radius(g[None], rp) == [single]
+
+    def test_window_past_the_float_range_is_capped(self):
+        # cond 1e320 overflows the float window; it is still an int, and a
+        # finite window keeps its float value
+        rho = _LOOSE_RP.rho
+        g = np.diag([1e150, 1e-150])
+        largest, *_, smallest = np.linalg.svd(g, compute_uv=False).tolist()
+        (finite,) = discreteness_radii(g[None], _LOOSE_RP)
+        assert finite.required == math.floor(largest / smallest * rho * math.exp(rho) + 0.5)
+        (past,) = discreteness_radii(np.diag([1e160, 1e-160])[None], _LOOSE_RP)
+        assert isinstance(past, EnumerationCapError)
+        assert type(past.required) is int and 10**318 < past.required < 10**319
+        assert past.cap == DEFAULT_ENTRY_CAP
+        with pytest.raises(EnumerationCapError):
+            model_radius(np.diag([1e-160, 1e160]), _LOOSE_RP)
+        assert _entry_bounds(np.diag([1e160, 1e-160])[None], 0.0) == [0]
 
     def test_stacked_rejects_determinant_off_one(self):
         stack = np.stack([np.eye(2), np.diag([2.0, 1.0]), np.diag([0.1, 10.0])])
@@ -724,9 +768,9 @@ class TestGaussOracle:
         rotated = haar_orthogonal(2, rng) @ g
         g_inv = np.linalg.inv(g)
         want = _search_radius(g, g_inv, np.kron(g, g_inv.T), rho)
-        got = discreteness_radius(g, rp)
+        got = model_radius(g, rp)
         assert abs(got / want - 1.0) <= 1e-9
-        assert abs(discreteness_radius(rotated, rp) / got - 1.0) <= 1e-12
+        assert abs(model_radius(rotated, rp) / got - 1.0) <= 1e-12
         for stacked in discreteness_radii(np.stack([g, rotated]), rp):
             assert abs(stacked / want - 1.0) <= 1e-9
 
@@ -736,4 +780,4 @@ class TestGaussOracle:
             g = np.diag([y**-0.5, y**0.5])
             assert _gauss_radius(g.tolist(), 1.0, 0.3) == pytest.approx(1.0 / y, rel=1e-15)
             rp = RadiusParams(R=0.35, rho=0.3)
-            assert discreteness_radius(g, rp) == pytest.approx(1.0 / y, rel=1e-15)
+            assert model_radius(g, rp) == pytest.approx(1.0 / y, rel=1e-15)
