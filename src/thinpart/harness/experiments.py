@@ -22,6 +22,7 @@ from ..analysis import compact_group_sublevel_fit, compact_group_sublevel_measur
 from ..contraction import (
     BalanceError,
     ContractionParams,
+    balance_holds,
     contraction_constants,
     markov_superlevel_bound,
 )
@@ -36,6 +37,7 @@ from ..slgroup import (
     EnumerationCapError,
     RadiusParams,
     discreteness_radii,
+    exact_expansion_probability,
     mu_s_draws,
     reduced_conjugator,
 )
@@ -74,10 +76,10 @@ _SIGMAS = 3.0
 _BASE_TRIES = 400
 # Chains of the conjugation walk, stepped in lockstep (conjugation_walk).
 _WALK_CHAINS = 128
-# Walk steps whose mu_s draws and radius front end are stacked at once, a
-# multiple of _WALK_CHAINS; it bounds the stacked Gaussians, conjugators
-# and front-end arrays of a long walk, which would otherwise grow with
-# walk_length.
+# Walk steps whose mu_s draws and radius front end are stacked at once.  Any
+# multiple of C = _WALK_CHAINS gives the same rows; 2C pays less per-call
+# overhead than C (default walk 71 against 74 ms, 4C 66 ms: medians of 40
+# interleaved runs, shared 2-core box) and still bounds a long walk's arrays.
 _WALK_BLOCK = 2 * _WALK_CHAINS
 
 
@@ -411,8 +413,8 @@ def conjugation_walk(cfg: ExperimentConfig) -> list:
     1-240 the kept steps match that rate at every eps down to 3e-5 within
     two between-chain standard errors (CHANGES.md).  C = 128 takes 12%
     less time than C = 64, and the stacked Lagrange-Gauss pass beats a
-    loop of scalar ones from about a hundred matrices.  About 99% of the
-    default walk's radii stop at the front end's rho shortcut.  The
+    loop of scalar ones on walk rounds from about 48 matrices.  About 99%
+    of the default walk's radii stop at the front end's rho shortcut.  The
     default walk takes about 0.05 s, against 0.11 s for one serial chain
     (shared 2-core box, numpy 2.4).
     """
@@ -481,18 +483,13 @@ def run_stationary_bound(cfg: ExperimentConfig, p_hat=None, walk=None) -> Experi
     beta = markov_superlevel_bound(cp.c, cp.b, 1.0)
 
     levels = []
-    all_ok = True
-    min_margin = math.inf
     for eps in cfg.eps_grid:
         frac = float(np.mean(radii < eps))
         band = _binomial_band(frac, n_ret)
         bound = markov_superlevel_bound(cp.c, cp.b, eps ** (-cp.delta))
-        ok = frac - band <= bound
-        margin = bound - (frac - band)
-        all_ok = all_ok and ok
-        min_margin = min(min_margin, margin)
         levels.append(
-            {"eps": eps, "fraction": frac, "band": band, "bound": bound, "passed": ok}
+            {"eps": eps, "fraction": frac, "band": band, "bound": bound,
+             "passed": frac - band <= bound}
         )
 
     populated = [(lv["eps"], lv["fraction"]) for lv in levels if lv["fraction"] > 0.0]
@@ -519,7 +516,8 @@ def run_stationary_bound(cfg: ExperimentConfig, p_hat=None, walk=None) -> Experi
         "slope_floor": slope_floor,
     }
     verdicts = [
-        Verdict("superlevel-bound", all_ok, min_margin),
+        Verdict("superlevel-bound", all(lv["passed"] for lv in levels),
+                min(lv["bound"] - (lv["fraction"] - lv["band"]) for lv in levels)),
         Verdict("superlevel-slope", slope is not None and slope >= slope_floor,
                 None if slope is None else slope - slope_floor),
     ]
@@ -633,8 +631,31 @@ _CONSTANTS_EXPECTED = {
 }
 
 
+def _exact_drift_balance(cfg: ExperimentConfig) -> tuple:
+    """run_constants' n = 2 section and verdict: the exact expansion
+    probability p of expansion-prob's thin models against the threshold
+    p* = ln lambda / (ln lambda + ln a1) of drift_parameters' balance test
+    (ht = 1, so a2 = 1/lambda), and the lambdas of cfg's ray step that
+    balance: p is fixed on the step, so they are
+    [lambda0^n0, min(lambda0^(n0 + 1), a1^(p / (1 - p)))), None if empty.
+    """
+    sp, _ = derive_group(cfg)
+    p = exact_expansion_probability(sp, _EXPANSION_FACTOR)
+
+    def balances(lam):
+        return p > 0.0 and balance_holds(cfg.a1, 1.0 / lam, p)
+
+    start, top = sp.lambda0**sp.n0, sp.lambda0 ** (sp.n0 + 1)
+    end = top if balances(top) else cfg.a1 ** (p / (1.0 - p))
+    p_star = math.log(cfg.lambda_) / math.log(cfg.lambda_ * cfg.a1)
+    window = [start, end] if balances(start) else None
+    section = {"ad_norm": sp.ad_norm, "p_exact": p, "p_star": p_star, "balanced_window": window}
+    return section, Verdict("drift-balance-exact", balances(cfg.lambda_), p - p_star)
+
+
 def run_constants(cfg: ExperimentConfig) -> ExperimentReport:
-    """Tabulate the exact constants for n = 2, 3, 4 against frozen values."""
+    """Tabulate the exact constants for n = 2, 3, 4 against frozen values,
+    and at group_n = 2 the exact drift balance of cfg's ray step."""
     samples = []
     table = []
     verdicts = []
@@ -667,7 +688,11 @@ def run_constants(cfg: ExperimentConfig) -> ExperimentReport:
         "n", "dim_g", "dim_u", "rank_k", "height_sum",
         "order_bound", "delta_num", "delta_den",
     )
-    return _report("constants", cfg, columns, samples, {"table": table}, verdicts)
+    summary = {"table": table}
+    if cfg.group_n == 2:
+        summary["exact_expansion"], verdict = _exact_drift_balance(cfg)
+        verdicts.append(verdict)
+    return _report("constants", cfg, columns, samples, summary, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,34 @@ def mu_s_draws(sp: SemisimpleParams, rng: np.random.Generator, count: int) -> np
     return k[:, 0] @ sp.s_lambda @ k[:, 1]
 
 
+def exact_expansion_probability(sp: SemisimpleParams, factor: float) -> float:
+    """P(radius(s_lambda k g) >= factor radius(g)) for a uniform rotation k
+    and any 2 x 2 conjugator g of radius r with factor r <= rho: with
+    A = sp.ad_norm, 1 - (2/pi) arcsin sqrt((factor - 1/A) / (A - 1/A)), or
+    0 when A <= factor.  Raises ValueError unless n = 2.
+
+    Proof.  Scale g to det 1; r = |g v|^2 for the shortest vector g v of
+    g Z^2 (_gauss_radius).  A primitive w off the line of v has
+    |g v| |g w| >= |det [v w]| >= 1, and s_lambda = diag(A^-1/2, A^1/2)
+    divides no squared length by more than A, so
+    |s_lambda k g w|^2 >= 1/(A r) > 1/(A rho) = 1/0.34 > rho.  Only v is
+    left: the new radius is min(rho, r f(theta)), where k g v makes the
+    uniform angle theta + pi/2 with the first axis and
+    f = A cos^2 theta + A^-1 sin^2 theta.  As factor r <= rho, the radius
+    grows by factor exactly when f >= factor, that is
+    cos^2 theta >= x = (factor - 1/A) / (A - 1/A): for A > factor, with
+    probability (2/pi) arccos sqrt(x); as f <= A, for A <= factor on a
+    null set at most.  The event depends on k alone, so expansion-prob's
+    pairs are independent Bernoulli(p) draws, though they share bases.
+    """
+    if sp.n != 2:
+        raise ValueError(f"the exact expansion law holds at n = 2 only, got n = {sp.n}")
+    a = sp.ad_norm
+    if a <= factor:
+        return 0.0
+    return 1.0 - 2.0 / math.pi * math.asin(math.sqrt((factor - 1 / a) / (a - 1 / a)))
+
+
 def _entry_bounds(gs: np.ndarray, r: float) -> list:
     """For each matrix g of the stack gs, an integer entry window that
     provably contains every lattice element of log-norm at most r.
@@ -515,11 +543,11 @@ def _gauss_reduce_stack(gs: np.ndarray) -> tuple:
     scalar loop.  Each iteration works on the matrices still reducing
     only; a matrix leaves once its reduced column is no shorter, and all
     stop after _GAUSS_CAP iterations, as in the scalar loop.  One call
-    costs more than a loop of _gauss_reduce on stacks of a few dozen
-    matrices and less from about a hundred.  So the radii keep the scalar
-    loop (_gauss_radius), which also serves the radius calls on a single
-    matrix: evanescence's 42 calls per run, one per cusp point, and
-    expansion-prob's thin-filter tries, one per draw.
+    costs about twice a loop of _gauss_reduce on 16 matrices, less from 32
+    base draws or 48 walk-round matrices (at 64: 52 against 116 us, 111
+    against 173 us; shared 2-core box, numpy 2.4).  The radii keep the
+    scalar loop (_gauss_radius): about 1% of a walk block passes the rho
+    shortcut, and single-matrix calls (evanescence, thin-filter tries) use it.
     """
     a, b, c, d = (gs[:, i, j] for i in range(2) for j in range(2))
     uu = a * a + c * c

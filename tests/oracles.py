@@ -14,7 +14,8 @@ enumeration of the ball that never shrinks it.  A mu_s draw keeps its
 plain form too: two Haar rotations around s_lambda, one after the other.
 Two formulas that only tests evaluate live here as well: q_of_subspace,
 the wedge functional that check_projection_bound compares against, and
-delta_asymptotic, the large-lambda exponent ray of criterion 03.
+delta_asymptotic, the large-lambda exponent ray of criterion 03.  The
+exact n = 2 expansion probability has a quadrature of its one-step law.
 The sublevel measures keep their one-shot forms: every sample drawn at
 once, then counted by sort + searchsorted or by the mean of a mask.
 """
@@ -36,6 +37,15 @@ def mu_s_draw(sp, rng: np.random.Generator) -> np.ndarray:
     """k1 s_lambda k2 with k1, then k2, Haar on SO(n) from rng."""
     k1 = haar_orthogonal(sp.n, rng)
     return k1 @ sp.s_lambda @ haar_orthogonal(sp.n, rng)
+
+
+def expansion_probability_quadrature(a: float, factor: float, nodes: int = 10**6) -> float:
+    """Midpoint rule for P(a cos^2 theta + a^-1 sin^2 theta >= factor) with
+    theta uniform on [0, pi): the fraction of nodes where the indicator
+    holds.  The indicator jumps twice, so the error is below 2 / nodes."""
+    theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    f = a * np.cos(theta) ** 2 + np.sin(theta) ** 2 / a
+    return float(np.count_nonzero(f >= factor)) / nodes
 
 
 def sorted_sublevel_measures(n, coefficient, eps_grid, rng, n_samples) -> np.ndarray:

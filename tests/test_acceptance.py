@@ -17,6 +17,7 @@ from thinpart.grassmann import check_projection_bound, split_from_basis
 from thinpart.harness.config import ExperimentConfig
 from thinpart.harness.experiments import (
     model_radius,
+    run_constants,
     run_evanescence,
     run_expansion_probability,
     run_goodfn,
@@ -203,6 +204,15 @@ def test_criterion_07_discreteness_radius():
     cusp = radius_of(np.diag([0.1, 10.0]))
     assert cusp == pytest.approx(1e-2, rel=1e-15)
     assert time.perf_counter() - start < 120.0
+
+
+def test_p_hat_within_its_band_of_the_exact_law(cfg, expansion):
+    # expansion-prob's pairs are independent Bernoulli(p) draws with p in
+    # closed form (slgroup.exact_expansion_probability), so its 3-sigma
+    # binomial band must hold p_exact as constants reports it
+    report, _ = expansion
+    p_exact = run_constants(cfg).summary["exact_expansion"]["p_exact"]
+    assert abs(report.summary["p_hat"] - p_exact) <= report.summary["band"]
 
 
 def test_criterion_08_key_inequality(expansion, key_report):

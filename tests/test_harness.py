@@ -33,6 +33,7 @@ from thinpart.harness.experiments import (
     drift_parameters,
     expansion_indicator,
     model_radius,
+    run_constants,
     run_evanescence,
     run_expansion_probability,
     run_goodfn,
@@ -164,6 +165,12 @@ class TestReport:
         rep.summary = {"v": math.inf}
         with pytest.raises(ValueError):
             render_report_json(rep)
+        # samples.csv refuses them too, and string cells holding a separator
+        rep.columns = ("a",)
+        for cell in (math.inf, -math.inf, math.nan, "x,y", "x\ny"):
+            rep.samples = [(cell,)]
+            with pytest.raises(ValueError):
+                render_samples_csv(rep)
 
     def test_write_report_creates_files(self, tmp_path):
         json_path, csv_path = write_report(self._tiny_report(), tmp_path / "out")
@@ -501,6 +508,59 @@ class TestPrefixStability:
         ]
 
 
+class TestExactDriftBalance:
+    """run_constants' n = 2 section: the exact expansion probability
+    against the drift threshold, over the ray steps of lambda."""
+
+    @staticmethod
+    def _section(lam, **fields):
+        rep = run_constants(ExperimentConfig(lambda_=lam, **fields))
+        verdict = rep.verdicts[-1]
+        assert verdict.check == "drift-balance-exact"
+        return rep.summary["exact_expansion"], verdict
+
+    @pytest.mark.parametrize(
+        "lam, passed", [(20.0, False), (35.0, False), (55.0, True), (90.0, True), (140.0, True)]
+    )
+    def test_verdict_by_lambda(self, lam, passed):
+        section, verdict = self._section(lam)
+        assert verdict.passed is passed
+        assert verdict.margin == section["p_exact"] - section["p_star"]
+        assert (verdict.margin > 0.0) is passed
+
+    def test_default_section(self):
+        section, _ = self._section(55.0)
+        assert section["ad_norm"] == expanding_element(2, 55.0, math.exp(-1.0)).ad_norm
+        assert abs(section["p_exact"] - 0.8779480) <= 1e-7
+        assert section["p_star"] == pytest.approx(math.log(55.0) / math.log(110.0), rel=1e-15)
+
+    def test_balanced_window(self):
+        assert self._section(35.0)[0]["balanced_window"] is None
+        start, end = self._section(55.0)[0]["balanced_window"]
+        assert start == pytest.approx(math.e**4, rel=1e-15)
+        assert end == pytest.approx(146.345, abs=1e-3)
+        # the verdict flips exactly at the end of the window
+        assert self._section(end * (1 - 1e-9))[1].passed
+        assert not self._section(end * (1 + 1e-9))[1].passed
+        # A = 5/3 <= 2: p = 0, so no lambda of the step balances
+        section, verdict = self._section(1.7, x0=0.6)
+        assert section["p_exact"] == 0.0 and section["balanced_window"] is None
+        assert not verdict.passed
+
+    @pytest.mark.parametrize("n0", [5, 6, 7])
+    def test_whole_step_balances_from_n0_five(self, n0):
+        section, verdict = self._section(1.5 * math.e**n0, eps_grid=(1e-6,))
+        assert verdict.passed
+        start, end = section["balanced_window"]
+        assert start == pytest.approx(math.e**n0, rel=1e-14)
+        assert end == pytest.approx(math.e ** (n0 + 1), rel=1e-14)
+
+    def test_other_group_sizes_have_no_section(self):
+        rep = run_constants(ExperimentConfig(group_n=3))
+        assert list(rep.summary) == ["table"]
+        assert all("-table-" in v.check for v in rep.verdicts)
+
+
 class TestCli:
     def test_constants_exit_zero(self, tmp_path, capsys):
         code = cli_main(["constants", "--out", str(tmp_path / "c")])
@@ -518,6 +578,13 @@ class TestCli:
             "--out", str(tmp_path / "k"),
         ])
         assert code == 2
+
+    def test_constants_unbalanced_step_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda": 35.0}))
+        code = cli_main(["constants", "--config", str(cfg_path), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "[FAIL] drift-balance-exact" in capsys.readouterr().out
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -14,6 +14,7 @@ from oracles import (
     ball_points,
     diagonal_ad_norm,
     entry_window,
+    expansion_probability_quadrature,
     int_det,
     lattice_candidates,
     mat_log,
@@ -42,6 +43,7 @@ from thinpart.slgroup import (
     _search_radius,
     _unipotent_log_norm,
     discreteness_radii,
+    exact_expansion_probability,
     expanding_element,
     mu_s_draws,
     radius_params,
@@ -484,6 +486,49 @@ class TestDiscretenessRadius:
         for g in (np.eye(3)[:2], np.diag([np.nan, 1.0]), np.diag([2.0, 1.0])):
             with pytest.raises(ValueError):
                 model_radius(g, _LOOSE_RP)
+
+
+class TestExactExpansionProbability:
+    @pytest.mark.parametrize("n0", range(1, 8))
+    def test_matches_quadrature(self, n0):
+        sp = expanding_element(2, 1.5 * E**n0, math.exp(-1.0))
+        assert sp.n0 == n0
+        want = expansion_probability_quadrature(sp.ad_norm, 2.0)
+        assert abs(exact_expansion_probability(sp, 2.0) - want) <= 5e-6
+
+    def test_zero_unless_the_step_outgrows_the_factor(self):
+        # A = 2 and A = 5/3: f <= A, so f >= 2 holds on a null set at most
+        for lam, x0 in ((2.0, 0.5), (1.7, 0.6)):
+            sp = expanding_element(2, lam, x0)
+            assert sp.ad_norm <= 2.0
+            assert exact_expansion_probability(sp, 2.0) == 0.0
+        assert 0.0 < exact_expansion_probability(expanding_element(2, 2.1, 1 / 2.1), 2.0)
+
+    def test_rejects_n_above_two(self):
+        with pytest.raises(ValueError):
+            exact_expansion_probability(expanding_element(3, 55.0, math.exp(-1.0)), 2.0)
+
+    def test_one_step_law_on_thin_bases(self):
+        # the proof's key step, against the kernel: for a thin base of
+        # radius r and shortest vector g v, radius(s k g) = min(rho, r f)
+        # with f = (x^2 / A + y^2 A) / (x^2 + y^2) for k g v = (x, y)
+        sp, rp = _DEFAULT_SP, _DEFAULT_RP
+        rng = np.random.default_rng(48)
+        angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        thin = 0
+        while thin < 10:
+            g = sample_base_conjugator(2, rng)
+            r = model_radius(g, rp)
+            if r > rp.rho / 2:
+                continue
+            thin += 1
+            (a, _), (c, _) = _gauss_reduce(g.tolist())
+            for phi in angles:
+                k = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+                x, y = k @ [a, c]
+                f = (x * x / sp.ad_norm + y * y * sp.ad_norm) / (x * x + y * y)
+                got = model_radius(sp.s_lambda @ k @ g, rp)
+                assert got == pytest.approx(min(rp.rho, r * f), rel=1e-9)
 
 
 class TestReducedConjugator:
