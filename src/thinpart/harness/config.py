@@ -8,11 +8,11 @@ import math
 from dataclasses import dataclass, fields
 
 from ..slgroup import (
-    DegenerateRayError,
     RadiusParams,
     SemisimpleParams,
     expanding_element,
     radius_params,
+    unipotence_bound_holds,
 )
 
 
@@ -47,6 +47,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ConfigError(f"{_JSON_NAMES.get(name, name)} must be a finite number")
+            # a JSON 55 and 55.0 give the same config and the same report bytes
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.x0 < 1.0:
             raise ConfigError(f"x0 must lie in (0, 1), got {self.x0}")
         if self.a1 <= 1.0:
@@ -113,9 +115,14 @@ def derive_group(cfg: ExperimentConfig) -> tuple:
     against the derived search radius."""
     try:
         sp: SemisimpleParams = expanding_element(cfg.group_n, cfg.lambda_, cfg.x0)
-    except (DegenerateRayError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: OverflowError too
         raise ConfigError(f"group parameters rejected: {exc}") from exc
     rp: RadiusParams = radius_params(sp)
+    if not unipotence_bound_holds(cfg.group_n, rp.rho):
+        raise ConfigError(
+            f"search radius {rp.rho} is too large for the unipotence bound "
+            f"at n = {cfg.group_n}"
+        )
     too_big = [e for e in cfg.eps_grid if e >= rp.rho]
     if too_big:
         raise ConfigError(

@@ -1,12 +1,14 @@
 """Report records and byte-stable persistence.
 
-Reports carry no timestamps and serialize floats with 17 significant
-digits, so a rerun with the same seed and worker count reproduces both
+Reports carry no timestamps and spell every float in its shortest
+round-trip form, repr(float(x)), so each value reads back as the same
+double and a rerun with the same seed and worker count reproduces both
 output files byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import subprocess
@@ -37,55 +39,18 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
 
-_REVISION = None
-
-
+@functools.cache
 def source_revision() -> str:
-    global _REVISION
-    if _REVISION is None:
-        try:
-            out = subprocess.run(
-                ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
-                capture_output=True,
-                text=True,
-                timeout=10,
-            )
-            _REVISION = out.stdout.strip() if out.returncode == 0 else "unknown"
-        except (OSError, subprocess.SubprocessError):
-            _REVISION = "unknown"
-    return _REVISION
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"reports must not contain non-finite floats, got {x}")
-    return format(float(x), ".17g")
-
-
-def _emit(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{_emit(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def render_report_json(report: ExperimentReport) -> str:
@@ -100,7 +65,7 @@ def render_report_json(report: ExperimentReport) -> str:
             for v in report.verdicts
         ],
     }
-    return _emit(doc, 0) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -111,7 +76,9 @@ def _csv_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt_float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"reports must not contain non-finite floats, got {value}")
+        return repr(float(value))
     if isinstance(value, str):
         if "," in value or "\n" in value:
             raise ValueError(f"csv cells must not contain separators: {value!r}")

@@ -59,13 +59,12 @@ class DeltaBound:
     """Exact decay exponent bound with the intermediate inverse-bound chain.
 
     delta            final bound (3 * ht * dim_g)^-(rank_k + 1)
-    inverse_order    2 * ht * dim_k * order_bound, the sharper inverse bound
-    inverse_final    (3 * ht * dim_g)^(rank_k + 1) = 1 / delta
+    inverse_order    2 * ht * dim_k * order_bound, the sharper inverse bound,
+                     at most 1 / delta
     """
 
     delta: Fraction
     inverse_order: int
-    inverse_final: int
 
 
 def delta_lower_bound(gc: GroupConstants) -> DeltaBound:
@@ -79,8 +78,4 @@ def delta_lower_bound(gc: GroupConstants) -> DeltaBound:
     inverse_final = (3 * gc.ht_sum * gc.dim_g) ** (gc.rank_k + 1)
     if inverse_order > inverse_final:
         raise AssertionError("inverse-bound chain is out of order")
-    return DeltaBound(
-        delta=Fraction(1, inverse_final),
-        inverse_order=inverse_order,
-        inverse_final=inverse_final,
-    )
+    return DeltaBound(delta=Fraction(1, inverse_final), inverse_order=inverse_order)

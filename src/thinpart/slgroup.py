@@ -52,7 +52,6 @@ class SemisimpleParams:
     """
 
     n: int
-    x0: float
     lambda0: float
     n0: int
     s_lambda: np.ndarray
@@ -99,26 +98,33 @@ def expanding_element(n: int, lam: float, x0: float) -> SemisimpleParams:
     if ad_norm > lam**gc.ht_sum * (1.0 + 1e-12):
         raise ArithmeticError("adjoint norm exceeds the requested scale")
     return SemisimpleParams(
-        n=n, x0=x0, lambda0=lambda0, n0=n0, s_lambda=s_lambda, ad_norm=ad_norm
+        n=n, lambda0=lambda0, n0=n0, s_lambda=s_lambda, ad_norm=ad_norm
     )
 
 
 @dataclass(frozen=True)
 class RadiusParams:
-    """Outer log-injectivity radius and the contracted search radius."""
+    """The contracted search radius."""
 
-    R: float
     rho: float
 
     def __post_init__(self):
-        if not 0.0 < self.rho < self.R:
-            raise ValueError(f"need 0 < rho < R, got rho={self.rho}, R={self.R}")
+        if not self.rho > 0.0:
+            raise ValueError(f"need rho > 0, got rho={self.rho}")
 
 
 def radius_params(sp: SemisimpleParams) -> RadiusParams:
-    """Search radius rho = R / |Ad(s_lambda)| so the ray maps the rho-ball
-    into the R-ball in both directions."""
-    return RadiusParams(R=ZASSENHAUS_RADIUS, rho=ZASSENHAUS_RADIUS / sp.ad_norm)
+    """Search radius rho = ZASSENHAUS_RADIUS / |Ad(s_lambda)| so the ray
+    maps the rho-ball into the ZASSENHAUS_RADIUS-ball in both directions."""
+    return RadiusParams(rho=ZASSENHAUS_RADIUS / sp.ad_norm)
+
+
+def unipotence_bound_holds(n: int, rho: float) -> bool:
+    """True when every element of g SL(n,Z) g^{-1} of log-norm at most rho
+    is unipotent: rho <= ZASSENHAUS_RADIUS and K^2 rho^2 e^{K rho} / 2 < 1
+    with K = ceil((n - 1) / 2), which at rho = 0.34 refuses n >= 6."""
+    k_max = n // 2  # ceil((n - 1) / 2)
+    return rho <= ZASSENHAUS_RADIUS and (k_max * rho) ** 2 * math.exp(k_max * rho) / 2 < 1.0
 
 
 def mu_s_draws(sp: SemisimpleParams, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -361,22 +367,20 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     caller can tolerate such entries one at a time; an invalid entry (not
     finite, not invertible, determinant off 1) raises ValueError for the
     whole stack, as does a rho too large for every element of log-norm at
-    most rho to be unipotent: rho > ZASSENHAUS_RADIUS or
-    K^2 rho^2 e^{K rho} / 2 >= 1 with K = ceil((n - 1) / 2), which at
-    rho = 0.34 refuses n >= 6.  The front end runs once per stack and for
-    every n: the entry-bound SVDs, the determinants, the cap check and the
-    rho shortcut of entries whose window is empty.  The entries left over
-    take _gauss_radius at n = 2; at n >= 3 they take the inverses and the
-    kron(g, g^{-T}) lattices, broadcast as plain products, and then
-    _search_radius.  Each stacked piece is bit-identical to its one-matrix
-    form, so an entry does not depend on the rest of the stack.
+    most rho to be unipotent (unipotence_bound_holds).  The front end runs
+    once per stack and for every n: the entry-bound SVDs, the determinants,
+    the cap check and the rho shortcut of entries whose window is empty.
+    The entries left over take _gauss_radius at n = 2; at n >= 3 they take
+    the inverses and the kron(g, g^{-T}) lattices, broadcast as plain
+    products, and then _search_radius.  Each stacked piece is
+    bit-identical to its one-matrix form, so an entry does not depend on
+    the rest of the stack.
     """
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
         raise ValueError(f"conjugators must be a stack of square matrices, got shape {gs.shape}")
     n = gs.shape[1]
-    k_max = n // 2  # ceil((n - 1) / 2)
-    if rp.rho > ZASSENHAUS_RADIUS or (k_max * rp.rho) ** 2 * math.exp(k_max * rp.rho) / 2 >= 1.0:
+    if not unipotence_bound_holds(n, rp.rho):
         raise ValueError(f"rho = {rp.rho} is too large for the unipotence bound at n = {n}")
     if not np.isfinite(gs).all():
         raise ValueError("conjugator entries must be finite")

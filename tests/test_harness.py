@@ -113,6 +113,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="search radius"):
             derive_group(ExperimentConfig(eps_grid=(0.1, 0.01)))
 
+    def test_whole_floats_stay_floats(self):
+        cfg = config_from_dict({"lambda": 55, "a1": 2})
+        assert cfg == ExperimentConfig()
+        assert isinstance(cfg.lambda_, float) and isinstance(cfg.a1, float)
+
     def test_replace_revalidates(self):
         cfg = ExperimentConfig()
         assert dataclasses.replace(cfg, seed=5).seed == 5
@@ -147,12 +152,39 @@ class TestReport:
         doc = json.loads(render_report_json(rep))
         assert doc["summary"]["v"] == 0.1 + 0.2
 
+    def test_json_is_the_standard_encoding(self):
+        # the rendered text is json.dumps of its own parse: key order,
+        # indent, separators and the shortest round-trip float spelling
+        rep = self._tiny_report()
+        rep.summary = {"v": 0.1 + 0.2, "empty": [], "none": {}, "np": np.float64(0.1)}
+        text = render_report_json(rep)
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+        assert '"np": 0.1\n' in text
+        assert '"v": 0.30000000000000004,' in text
+        assert '"lambda": 55.0,' in text
+        assert '"a1": 2.0,' in text
+        assert '"eps_grid": [\n      0.003,\n' in text
+        assert '"x0": 0.36787944117144233,' in text
+
     def test_csv_cells(self):
         rep = self._tiny_report()
         rep.columns = ("a", "b", "c")
         rep.samples = [(1, True, None), (2, False, 0.25)]
         text = render_samples_csv(rep)
         assert text == "a,b,c\n1,1,\n2,0,0.25\n"
+        rep.samples = [("x", 55.0, np.float64(0.1)), ("y-z", 3e-3, 0.8775)]
+        assert render_samples_csv(rep) == "a,b,c\nx,55.0,0.1\ny-z,0.003,0.8775\n"
+
+    def test_unsupported_types_refused(self):
+        rep = self._tiny_report()
+        rep.summary = {"flag": np.bool_(True)}
+        with pytest.raises(TypeError):
+            render_report_json(rep)
+        rep.columns = ("a",)
+        for cell in (np.bool_(True), np.int64(1), [1]):
+            rep.samples = [(cell,)]
+            with pytest.raises(TypeError):
+                render_samples_csv(rep)
 
     def test_csv_rejects_ragged_rows(self):
         rep = self._tiny_report()
@@ -586,14 +618,43 @@ class TestCli:
         assert code == 2
         assert "[FAIL] drift-balance-exact" in capsys.readouterr().out
 
-    def test_config_error_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, text, flags, message", [
+        ("constants", '{"bogus": 1}', [], "unknown config keys"),
+        ("constants", None, [], "cannot read config"),
+        ("constants", '{"lambda": ', [], "is not valid JSON"),
+        ("constants", "[1, 2]", [], "must hold a JSON object"),
+        ("constants", '{"lambda": NaN}', [], "lambda must be a finite number"),
+        ("constants", '{"seed": 1.5}', [], "seed must be an integer"),
+        ("constants", "{}", ["--workers", "0"], "workers must be an integer >= 1"),
+        ("expansion-prob", '{"lambda": 2.0}', [], "below one ray step"),
+        # n = 8 at one ray step of 1/0.95: rho = 0.2374, where
+        # K^2 rho^2 e^{K rho} / 2 = 1.17 >= 1 with K = 4
+        ("expansion-prob", '{"group_n": 8, "x0": 0.95, "lambda": 1.06, "eps_grid": [1e-3]}',
+         [], "too large for the unipotence bound"),
+        # lambda0^(n0 ht) overflows a double
+        ("expansion-prob", '{"group_n": 3, "lambda": 1e300, "eps_grid": [1e-300]}',
+         [], "group parameters rejected"),
+    ], ids=["unknown-key", "unreadable", "invalid-json", "array", "nan-lambda",
+            "float-seed", "workers-override", "lambda-below-one-step",
+            "rho-past-unipotence", "ad-norm-overflow"])
+    def test_config_error_exit_one(self, tmp_path, capsys, command, text, flags, message):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"bogus": 1}')
-        code = cli_main(["constants", "--config", str(bad)])
+        if text is not None:
+            bad.write_text(text)
+        code = cli_main([command, "--config", str(bad), *flags, "--out", str(tmp_path / "c")])
         assert code == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "c").exists()
 
-    @pytest.mark.parametrize("grid", [["a"], "1e-3"], ids=["string-entry", "string"])
+    def test_blocked_out_dir_exit_one(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = cli_main(["constants", "--out", str(tmp_path / "file" / "c")])
+        assert code == 1
+        assert "error: failed to write report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [["a"], "1e-3", [], [1e-3, 0.0]],
+                             ids=["string-entry", "string", "empty", "non-positive"])
     def test_bad_eps_grid_exit_one(self, tmp_path, capsys, grid):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"eps_grid": grid}))

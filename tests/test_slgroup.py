@@ -145,8 +145,11 @@ class TestExpandingElement:
     def test_radius_params(self):
         sp = expanding_element(2, 55.0, math.exp(-1.0))
         rp = radius_params(sp)
-        assert rp.R == ZASSENHAUS_RADIUS
+        assert rp.rho == ZASSENHAUS_RADIUS / sp.ad_norm
         assert rp.rho == pytest.approx(0.34 * E**-4, rel=1e-12)
+        for rho in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="rho > 0"):
+                RadiusParams(rho=rho)
 
     def test_sampler_singular_values(self):
         sp = expanding_element(2, 55.0, math.exp(-1.0))
@@ -413,7 +416,7 @@ class TestDiscretenessRadius:
         # through the log of a conjugated matrix, so it agrees to round-off
         nontrivial = 0
         for g, rho, _, best in _box_oracle_cases():
-            got = model_radius(g, RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho))
+            got = model_radius(g, RadiusParams(rho=rho))
             assert abs(got / best - 1.0) <= 1e-10
             nontrivial += best < rho
         assert nontrivial >= 20
@@ -422,7 +425,7 @@ class TestDiscretenessRadius:
     def test_n3_matches_reference_full_ball(self, rho):
         # reference route at n = 3: QR-per-swap LLL, then every point of the
         # padded rho-ball, none skipped by shrinking; the minima agree exactly
-        rp = RadiusParams(R=ZASSENHAUS_RADIUS, rho=rho)
+        rp = RadiusParams(rho=rho)
         radius = rho * math.exp(rho) * (1.0 + 1e-9) + 1e-12
         nontrivial = 0
         for case in range(12):
@@ -443,7 +446,7 @@ class TestDiscretenessRadius:
         # every det-1 matrix of entry window 2 with scipy's logm, which
         # assumes nothing about unipotence; a-factor cond 2.5-3.5 keeps the
         # base draws' window at 2
-        rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
+        rp = RadiusParams(rho=ZASSENHAUS_RADIUS)
         nontrivial = 0
         for case in range(40):
             rng = np.random.default_rng([49, case])
@@ -468,13 +471,13 @@ class TestDiscretenessRadius:
             assert _unipotent_log_norm(np.eye(n), np.eye(n), nil) is None
 
     def test_rho_above_zassenhaus_rejected(self):
-        with pytest.raises(ValueError):
-            model_radius(np.eye(2), RadiusParams(R=0.5, rho=0.4))
+        with pytest.raises(ValueError, match="unipotence"):
+            model_radius(np.eye(2), RadiusParams(rho=0.4))
 
     def test_rho_past_the_unipotence_bound_rejected(self):
         # K = ceil((n - 1) / 2) is 2 up to n = 5 and 3 at n = 6, where
         # K^2 rho^2 e^{K rho} / 2 = 1.44 >= 1 at rho = 0.34
-        rp = RadiusParams(R=0.35, rho=ZASSENHAUS_RADIUS)
+        rp = RadiusParams(rho=ZASSENHAUS_RADIUS)
         with pytest.raises(ValueError, match="unipotence"):
             model_radius(np.eye(6), rp)
         for n in (3, 4, 5):
@@ -665,7 +668,7 @@ class TestStacked:
         rng = np.random.default_rng([49, n])
         bases = [sample_base_conjugator(n, rng) for _ in range(12)]
         stack = np.stack([np.eye(n)] + bases)
-        rp = _DEFAULT_RP if n == 2 else RadiusParams(R=ZASSENHAUS_RADIUS, rho=0.02)
+        rp = _DEFAULT_RP if n == 2 else RadiusParams(rho=0.02)
         got = model_radius(stack, rp)
         assert got == discreteness_radii(stack, rp)
         assert got[0] == rp.rho and min(got) < rp.rho
@@ -697,7 +700,7 @@ class TestStacked:
             discreteness_radii(stack, _LOOSE_RP)
         # the determinant is checked before the entry cap
         with pytest.raises(ValueError, match="determinant 1"):
-            discreteness_radii(np.diag([1e-4, 2e4])[None], RadiusParams(R=0.35, rho=0.3))
+            discreteness_radii(np.diag([1e-4, 2e4])[None], RadiusParams(rho=0.3))
 
     def test_stacked_rejects_bad_shapes(self):
         for gs in (np.eye(2), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan)):
@@ -806,7 +809,7 @@ class TestGaussOracle:
     )
     @settings(max_examples=120, deadline=None)
     def test_radius_matches_shortest_vector(self, seed, log10_cond, rho):
-        rp = RadiusParams(R=0.35, rho=rho)
+        rp = RadiusParams(rho=rho)
         cond = 10.0**log10_cond
         rng = np.random.default_rng([47, seed])
         g = sample_base_conjugator(2, rng, cond_low=cond, cond_high=cond)
@@ -824,5 +827,5 @@ class TestGaussOracle:
         for y in (10.0, 1e3, 1e5):
             g = np.diag([y**-0.5, y**0.5])
             assert _gauss_radius(g.tolist(), 1.0, 0.3) == pytest.approx(1.0 / y, rel=1e-15)
-            rp = RadiusParams(R=0.35, rho=0.3)
+            rp = RadiusParams(rho=0.3)
             assert model_radius(g, rp) == pytest.approx(1.0 / y, rel=1e-15)
