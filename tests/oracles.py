@@ -279,11 +279,11 @@ def wedge_power(m: np.ndarray, l: int) -> np.ndarray:
     return np.stack([wedge_vector(m[:, list(c)]) for c in cols], axis=1)
 
 
-def q_of_subspace(ss, w) -> float:
+def q_of_subspace(u, w) -> float:
     """sup over unit tuples (w_1 .. w_l) in W of ||P w_1 ^ ... ^ P w_l||,
     as the product of the singular values of P restricted to W, the form
     check_projection_bound compares against."""
-    return float(np.prod(_restricted_singular_values(ss, w)))
+    return float(np.prod(_restricted_singular_values(u, w)))
 
 
 def type_a_positive_roots(rank: int) -> list:

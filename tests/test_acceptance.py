@@ -13,7 +13,7 @@ import pytest
 from oracles import AsymptoticParams, ad_operator, delta_asymptotic, diagonal_ad_norm, op_norm
 from thinpart.analysis import Box, ScalarField, sublevel_measure
 from thinpart.contraction import balance_holds, delta_opt, phi
-from thinpart.grassmann import check_projection_bound, split_from_basis
+from thinpart.grassmann import check_projection_bound
 from thinpart.harness.config import ExperimentConfig
 from thinpart.harness.experiments import (
     model_radius,
@@ -153,10 +153,10 @@ def test_criterion_06_grassmannian_projection_bound():
         n = int(rng.integers(2, 7))
         dim_u = int(rng.integers(1, n))
         frame = haar_orthogonal(n, rng)
-        ss = split_from_basis(frame[:, :dim_u])
+        u = Subspace(n, frame[:, :dim_u])
         dim_w = int(rng.integers(1, dim_u + 1))
         w = Subspace(n, np.linalg.qr(rng.normal(size=(n, dim_w)))[0])
-        holds, slack = check_projection_bound(ss, w)
+        holds, slack = check_projection_bound(u, w)
         assert holds, (n, dim_u, dim_w, slack)
         seen.add((n, dim_u, dim_w))
     admissible = {

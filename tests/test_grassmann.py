@@ -2,31 +2,26 @@ import numpy as np
 import pytest
 
 from oracles import q_of_subspace, wedge_vector
-from thinpart.grassmann import (
-    check_bijection_contraction,
-    check_projection_bound,
-    split_from_basis,
-)
+from thinpart.grassmann import check_bijection_contraction, check_projection_bound
 from thinpart.linalg import Subspace, haar_orthogonal
 
 
 def _random_case(rng):
-    """Random orthogonal split plus a subspace W with dim W <= dim U."""
+    """Random subspace U plus a subspace W with dim W <= dim U."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, n))
     q = haar_orthogonal(n, rng)
-    ss = split_from_basis(q[:, :m])
     l = int(rng.integers(1, m + 1))
     wq, _ = np.linalg.qr(rng.standard_normal((n, l)))
-    return ss, Subspace(n, wq[:, :l]), q, m
+    return Subspace(n, q[:, :m]), Subspace(n, wq[:, :l]), q, m
 
 
 class TestQOfSubspace:
     def test_never_exceeds_one(self):
         for case in range(200):
             rng = np.random.default_rng([21, case])
-            ss, w, _, _ = _random_case(rng)
-            q_val = q_of_subspace(ss, w)
+            u, w, _, _ = _random_case(rng)
+            q_val = q_of_subspace(u, w)
             assert 0.0 <= q_val <= 1.0 + 1e-12
 
     def test_sampled_tuples_never_beat_the_basis_value(self):
@@ -35,9 +30,9 @@ class TestQOfSubspace:
         # below it (up to determinant round-off)
         for case in range(100):
             rng = np.random.default_rng([22, case])
-            ss, w, _, _ = _random_case(rng)
-            a = ss.proj_u @ w.basis
-            q_val = q_of_subspace(ss, w)
+            u, w, _, _ = _random_case(rng)
+            a = u.basis @ (u.basis.T @ w.basis)
+            q_val = q_of_subspace(u, w)
             assert np.linalg.norm(wedge_vector(a)) == pytest.approx(q_val, rel=1e-9, abs=1e-15)
             coeffs = rng.standard_normal((200, w.dim, w.dim))
             coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
@@ -45,52 +40,50 @@ class TestQOfSubspace:
                 assert np.linalg.norm(wedge_vector(a @ c)) <= q_val * (1.0 + 1e-12) + 1e-15
 
     def test_w_inside_u_gives_one(self):
-        ss = split_from_basis(np.eye(4)[:, :2])
+        u = Subspace(4, np.eye(4)[:, :2])
         w = Subspace(4, np.eye(4)[:, :2])
-        assert q_of_subspace(ss, w) == pytest.approx(1.0, abs=1e-12)
+        assert q_of_subspace(u, w) == pytest.approx(1.0, abs=1e-12)
 
     def test_w_orthogonal_to_u_gives_zero(self):
-        ss = split_from_basis(np.eye(4)[:, :2])
+        u = Subspace(4, np.eye(4)[:, :2])
         w = Subspace(4, np.eye(4)[:, 2:3])
-        assert q_of_subspace(ss, w) == pytest.approx(0.0, abs=1e-12)
+        assert q_of_subspace(u, w) == pytest.approx(0.0, abs=1e-12)
 
     def test_oversized_tuple_rejected(self):
-        ss = split_from_basis(np.eye(4)[:, :1])
+        u = Subspace(4, np.eye(4)[:, :1])
         w = Subspace(4, np.eye(4)[:, :2])
         with pytest.raises(ValueError):
-            q_of_subspace(ss, w)
+            q_of_subspace(u, w)
+
+    def test_mismatched_ambient_dimensions_rejected(self):
+        u = Subspace(4, np.eye(4)[:, :2])
+        w = Subspace(3, np.eye(3)[:, :1])
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            check_projection_bound(u, w)
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            check_bijection_contraction(np.eye(4), u, w)
 
 
 class TestProjectionBound:
     def test_random_sweep(self):
         for case in range(1000):
             rng = np.random.default_rng([23, case])
-            ss, w, _, _ = _random_case(rng)
-            holds, slack = check_projection_bound(ss, w)
+            u, w, _, _ = _random_case(rng)
+            holds, slack = check_projection_bound(u, w)
             assert holds, f"case {case}: slack {slack}"
-
-    def test_requires_symmetric_projection(self):
-        # oblique split: an idempotent P that is not orthogonal
-        p = np.array([[1.0, 1.0], [0.0, 0.0]])
-        from thinpart.grassmann import SplitSpace
-
-        ss = SplitSpace(2, p)
-        w = Subspace(2, np.eye(2)[:, :1])
-        with pytest.raises(ValueError):
-            check_projection_bound(ss, w)
 
 
 class TestBijectionContraction:
     def test_split_preserving_maps(self):
         for case in range(300):
             rng = np.random.default_rng([24, case])
-            ss, w, q, m = _random_case(rng)
-            n = ss.ambient_dim
+            u, w, q, m = _random_case(rng)
+            n = u.ambient_dim
             d = np.concatenate(
                 [np.exp(rng.uniform(0.2, 1.0, m)), np.exp(rng.uniform(-1.0, -0.2, n - m))]
             )
             l_map = q @ np.diag(d) @ q.T
-            holds, slack = check_bijection_contraction(l_map, ss, w)
+            holds, slack = check_bijection_contraction(l_map, u, w)
             assert holds, f"case {case}: slack {slack}"
 
     def test_unit_vectors_never_beat_the_exact_infimum(self):
@@ -98,8 +91,8 @@ class TestBijectionContraction:
         # of L on W; random unit vectors of W stay above it up to round-off
         for case in range(300):
             rng = np.random.default_rng([25, case])
-            ss, w, q, m = _random_case(rng)
-            n = ss.ambient_dim
+            u, w, q, m = _random_case(rng)
+            n = u.ambient_dim
             d = np.concatenate(
                 [np.exp(rng.uniform(0.2, 1.0, m)), np.exp(rng.uniform(-1.0, -0.2, n - m))]
             )
@@ -111,9 +104,9 @@ class TestBijectionContraction:
             assert ratios.min() >= sigma_min * (1.0 - 1e-12), f"case {case}"
 
     def test_rejects_split_breaking_map(self):
-        ss = split_from_basis(np.eye(3)[:, :1])
+        u = Subspace(3, np.eye(3)[:, :1])
         w = Subspace(3, np.eye(3)[:, :1])
         shear = np.eye(3)
         shear[0, 2] = 1.0
         with pytest.raises(ValueError):
-            check_bijection_contraction(shear, ss, w)
+            check_bijection_contraction(shear, u, w)
