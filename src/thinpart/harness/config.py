@@ -45,7 +45,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("lambda_", "x0", "a1"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
                 raise ConfigError(f"{_JSON_NAMES.get(name, name)} must be a finite number")
             # a JSON 55 and 55.0 give the same config and the same report bytes
             object.__setattr__(self, name, float(value))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from thinpart.analysis import _haar_coefficient_samples
 from thinpart.grassmann import _restricted_singular_values
 from thinpart.linalg import frobenius, haar_orthogonal
 
@@ -48,18 +47,19 @@ def expansion_probability_quadrature(a: float, factor: float, nodes: int = 10**6
     return float(np.count_nonzero(f >= factor)) / nodes
 
 
-def sorted_sublevel_measures(n, coefficient, eps_grid, rng, n_samples) -> np.ndarray:
-    """measure{|<g e_i, e_j>| < eps} for each eps: one full Haar draw, sorted,
-    with #{|v| < eps} read off as searchsorted's left position."""
-    values = np.abs(_haar_coefficient_samples(n, coefficient, n_samples, rng))
+def sorted_sublevel_measures(eps_grid, rng, n_samples) -> np.ndarray:
+    """measure{|cos theta| < eps} for each eps: one full draw of uniform
+    angles, sorted, with #{|v| < eps} read off as searchsorted's left position."""
+    values = np.abs(np.cos(rng.uniform(0.0, 2.0 * np.pi, size=n_samples)))
     values.sort()
     return np.searchsorted(values, np.asarray(eps_grid, dtype=float), side="left") / n_samples
 
 
-def full_draw_sublevel_measure(f, box, eps, n_samples, rng) -> float:
-    """Fraction of n_samples uniform box points with |f| < eps, drawn at once."""
-    pts = box.center + box.radius * rng.uniform(-1.0, 1.0, size=(n_samples, box.dim))
-    return float(np.mean(np.abs(np.asarray(f.eval(pts), dtype=float)) < eps))
+def full_draw_sublevel_measure(f, eps_grid, n_samples, rng) -> np.ndarray:
+    """Fraction of n_samples uniform points of [-1, 1] with |f| < eps, for
+    each eps, drawn at once."""
+    values = np.abs(np.asarray(f(rng.uniform(-1.0, 1.0, size=n_samples)), dtype=float))
+    return np.array([np.mean(values < eps) for eps in eps_grid])
 
 
 def entry_window(conjugator: np.ndarray, r: float) -> int:

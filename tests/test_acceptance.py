@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import AsymptoticParams, ad_operator, delta_asymptotic, diagonal_ad_norm, op_norm
-from thinpart.analysis import Box, ScalarField, sublevel_measure
+from thinpart.analysis import sublevel_measure
 from thinpart.contraction import balance_holds, delta_opt, phi
 from thinpart.grassmann import check_projection_bound
 from thinpart.harness.config import ExperimentConfig
@@ -241,17 +241,16 @@ def test_criterion_09_stationary_superlevel_bound(stationary_report):
 def test_criterion_10_sublevel_exponents(cfg):
     start = time.perf_counter()
     report = run_goodfn(cfg)
-    verdicts = {v.check: v for v in report.verdicts}
-    assert verdicts["so2-arcsin"].passed  # within 5% of (2/pi) arcsin at 1e-3
-    for d in (1, 2, 3):
-        assert verdicts[f"monomial-exponent-{d}"].passed
-    # independent small-scale route for the monomial exponents
+    # so2-arcsin within 5% of (2/pi) arcsin at 1e-3, so2-slope within 0.05 of 1,
+    # and the monomial exponents within 5% of 1/d
+    checks = ["so2-arcsin", "so2-slope"] + [f"monomial-exponent-{d}" for d in (1, 2, 3)]
+    assert [v.check for v in report.verdicts] == checks
+    assert report.all_passed()
+    # independent small-scale route for the monomial exponents: one draw per eps
     rng = np.random.default_rng(10)
     for d in (1, 2, 3):
-        f = ScalarField(1, lambda pts, d=d: pts[:, 0] ** d)
-        box = Box(np.zeros(1), 1.0)
-        lo = sublevel_measure(f, box, 1e-4, 2_000_000, rng)
-        hi = sublevel_measure(f, box, 1e-2, 2_000_000, rng)
+        lo = sublevel_measure(lambda x, d=d: x ** d, [1e-4], 2_000_000, rng)[0]
+        hi = sublevel_measure(lambda x, d=d: x ** d, [1e-2], 2_000_000, rng)[0]
         slope = math.log(hi / lo) / math.log(1e2)
         assert abs(slope * d - 1.0) <= 0.05
     assert time.perf_counter() - start < 60.0

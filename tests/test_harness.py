@@ -219,7 +219,7 @@ class TestRunners:
         assert rep.summary["per_model"] == 3
 
     def test_goodfn_memory_does_not_scale_with_samples(self):
-        # 10^7 Haar and 4*10^6 box samples, counted in blocks: a full-length
+        # 10^7 angle and 3 x 4*10^6 interval samples, counted in blocks: a full-length
         # float64 draw alone would be 80 MB (numpy reports its buffers here)
         tracemalloc.start()
         try:
@@ -624,6 +624,9 @@ class TestCli:
         ("constants", '{"lambda": ', [], "is not valid JSON"),
         ("constants", "[1, 2]", [], "must hold a JSON object"),
         ("constants", '{"lambda": NaN}', [], "lambda must be a finite number"),
+        ("grassmann", '{"lambda": true}', [], "lambda must be a finite number"),
+        ("grassmann", '{"x0": true}', [], "x0 must be a finite number"),
+        ("grassmann", '{"a1": true}', [], "a1 must be a finite number"),
         ("constants", '{"seed": 1.5}', [], "seed must be an integer"),
         ("constants", "{}", ["--workers", "0"], "workers must be an integer >= 1"),
         ("expansion-prob", '{"lambda": 2.0}', [], "below one ray step"),
@@ -635,8 +638,8 @@ class TestCli:
         ("expansion-prob", '{"group_n": 3, "lambda": 1e300, "eps_grid": [1e-300]}',
          [], "group parameters rejected"),
     ], ids=["unknown-key", "unreadable", "invalid-json", "array", "nan-lambda",
-            "float-seed", "workers-override", "lambda-below-one-step",
-            "rho-past-unipotence", "ad-norm-overflow"])
+            "bool-lambda", "bool-x0", "bool-a1", "float-seed", "workers-override",
+            "lambda-below-one-step", "rho-past-unipotence", "ad-norm-overflow"])
     def test_config_error_exit_one(self, tmp_path, capsys, command, text, flags, message):
         bad = tmp_path / "bad.json"
         if text is not None:
