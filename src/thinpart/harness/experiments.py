@@ -253,7 +253,7 @@ def run_expansion_probability(cfg: ExperimentConfig) -> ExperimentReport:
     band = _binomial_band(p_hat, n_pairs)
     floor_fraction = float(np.mean(i_exp >= i_rot / sp.ad_norm * (1.0 - 1e-9)))
 
-    samples = [(*r, bool(f)) for r, f in zip(rows, flags)]
+    samples = [(*r, f) for r, f in zip(rows, flags.tolist())]
     summary = {
         "n_pairs": n_pairs,
         "per_model": per_model,
@@ -350,8 +350,9 @@ def run_key_inequality(cfg: ExperimentConfig, p_hat=None) -> ExperimentReport:
     passed = margins >= 0.0
     pass_fraction = float(np.mean(passed))
 
+    i_rows, f_rows = i_base.tolist(), f_base.tolist()
     samples = [
-        (idx, b, radius, f, float(i_base[b]), float(f_base[b]))
+        (idx, b, radius, f, i_rows[b], f_rows[b])
         for b, (_, rows) in enumerate(bases)
         for idx, radius, f in rows
     ]
@@ -549,8 +550,8 @@ def run_integrability(cfg: ExperimentConfig, p_hat=None, walk=None) -> Experimen
     stable = variation < 0.10
 
     samples = [
-        (kept[i][0], kept[i][1], float(f_vals[i]), float(running[i]))
-        for i in range(len(kept))
+        (step, radius, f, mean)
+        for (step, radius), f, mean in zip(kept, f_vals.tolist(), running.tolist())
     ]
     summary = {
         "p_hat": p_val,

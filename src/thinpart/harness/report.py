@@ -4,6 +4,12 @@ Reports carry no timestamps and spell every float in its shortest
 round-trip form, repr(float(x)), so each value reads back as the same
 double and a rerun with the same seed and worker count reproduces both
 output files byte for byte.
+
+samples.csv is spelled a column at a time, _CSV_BLOCK rows at once: an
+int column through str, a finite float column through a table that
+spells each distinct value once, and any other column cell by cell.
+The bytes, and the first refusal in row order, are those of a
+row-by-row render.
 """
 
 from __future__ import annotations
@@ -86,23 +92,63 @@ def _csv_cell(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} in a csv cell")
 
 
-def render_samples_csv(report: ExperimentReport) -> str:
-    lines = [",".join(report.columns)]
-    for row in report.samples:
-        if len(row) != len(report.columns):
+_CSV_BLOCK = 1024  # rows spelled at a time
+
+
+def _csv_column(cells: tuple) -> list:
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        return list(map(str, cells))
+    if kinds == {float} and all(map(math.isfinite, cells)):
+        spelled = {v: repr(v) for v in set(cells)}
+        if 0.0 in spelled:  # 0.0 == -0.0 share a key; zeros keep their own sign
+            return [spelled[v] if v else repr(v) for v in cells]
+        return list(map(spelled.__getitem__, cells))
+    return list(map(_csv_cell, cells))
+
+
+def _refuse_in_row_order(block, width) -> None:
+    """Raise what a row-by-row render of block raises first."""
+    for row in block:
+        if len(row) != width:
             raise ValueError("sample row width disagrees with the header")
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        for value in row:
+            _csv_cell(value)
+
+
+def render_samples_csv(report: ExperimentReport) -> str:
+    width = len(report.columns)
+    rows = report.samples
+    parts = [",".join(report.columns)]
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start : start + _CSV_BLOCK]
+        try:
+            # widths first: zip(*block) would silently cut a ragged row
+            if any(len(row) != width for row in block):
+                raise ValueError("sample row width disagrees with the header")
+            columns = [_csv_column(cells) for cells in zip(*block)]
+        except (TypeError, ValueError):
+            _refuse_in_row_order(block, width)
+            raise
+        # with no columns zip(*columns) would yield no lines at all
+        lines = map(",".join, zip(*columns)) if width else [""] * len(block)
+        parts.append("\n".join(lines))
+    parts.append("")
+    return "\n".join(parts)
 
 
 def write_report(report: ExperimentReport, out_dir) -> tuple:
+    """Write report.json and samples.csv under out_dir; both are rendered
+    before either is written, so a refused value leaves no new file."""
+    json_text = render_report_json(report)
+    csv_text = render_samples_csv(report)
     out = Path(out_dir)
     json_path = out / "report.json"
     csv_path = out / "samples.csv"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(render_report_json(report), encoding="utf-8")
-        csv_path.write_text(render_samples_csv(report), encoding="utf-8")
+        json_path.write_text(json_text, encoding="utf-8")
+        csv_path.write_text(csv_text, encoding="utf-8")
     except OSError as exc:
         raise RuntimeError(f"failed to write report under {out}: {exc}") from exc
     return json_path, csv_path

@@ -18,6 +18,7 @@ delta_asymptotic, the large-lambda exponent ray of criterion 03.  The
 exact n = 2 expansion probability has a quadrature of its one-step law.
 The sublevel measures keep their one-shot forms: every sample drawn at
 once, then counted by sort + searchsorted or by the mean of a mask.
+samples.csv keeps its row-by-row form, each cell spelled on its own.
 """
 
 import functools
@@ -402,3 +403,32 @@ def delta_asymptotic(ap: AsymptoticParams, lam: float) -> float | None:
     if not q * log_inv_a2 < (1 - q) * ln2:
         return None
     return -(log_q - math.log1p(-q) + math.log(log_inv_a2 / ln2)) / (ln2 + log_inv_a2)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"reports must not contain non-finite floats, got {value}")
+        return repr(float(value))
+    if isinstance(value, str):
+        if "," in value or "\n" in value:
+            raise ValueError(f"csv cells must not contain separators: {value!r}")
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__} in a csv cell")
+
+
+def samples_csv_by_row(columns, samples) -> str:
+    """samples.csv spelled a row at a time and a cell at a time; the first
+    ragged row or refused cell in row order raises."""
+    lines = [",".join(columns)]
+    for row in samples:
+        if len(row) != len(columns):
+            raise ValueError("sample row width disagrees with the header")
+        lines.append(",".join(_csv_cell(v) for v in row))
+    return "\n".join(lines) + "\n"

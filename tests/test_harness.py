@@ -6,11 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import mu_s_draw
+from oracles import mu_s_draw, samples_csv_by_row
 from thinpart.harness import cli, experiments
 from thinpart.harness.cli import main as cli_main
 from thinpart.harness.config import (
@@ -44,6 +47,7 @@ from thinpart.harness.experiments import (
     sample_base_conjugator,
 )
 from thinpart.harness.report import (
+    _CSV_BLOCK,
     ExperimentReport,
     Verdict,
     render_report_json,
@@ -57,6 +61,45 @@ from thinpart.slgroup import (
 )
 
 _SMALL = ExperimentConfig(n_base_points=6, n_mc_samples=30, walk_length=300)
+
+# cells whose spellings a column-at-a-time render could confuse: signed
+# zeros, bool against int against float, numpy scalars, subnormals, and
+# every refused kind (non-finite floats, separators, numpy ints and bools)
+_CELL_POOL = (
+    0.0, -0.0, True, False, 1, 1.0, 2, 2.0, -3, None, "", "x", "y-z", "a,b", "a\nb",
+    np.float64(0.1), np.float64(-0.0), 5e-324, -2.5e-320, 0.1, 1e300,
+    math.inf, -math.inf, math.nan, np.int64(1), np.bool_(True),
+)
+_CELLS = st.one_of(st.sampled_from(_CELL_POOL), st.floats(), st.integers())
+
+
+@st.composite
+def _csv_tables(draw, min_rows=0, max_rows=12):
+    """(columns, rows): each column draws its cells from a few values of
+    its own, so columns of one type (the fast paths) are common; now and
+    then a row is ragged."""
+    width = draw(st.integers(0, 4))
+    kinds = [draw(st.lists(_CELLS, min_size=1, max_size=3)) for _ in range(width)]
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        row_kinds = kinds
+        if draw(st.integers(0, 29)) == 0:
+            row_kinds = [[draw(_CELLS)] for _ in range(draw(st.integers(0, 5)))]
+        rows.append(tuple(draw(st.sampled_from(k)) for k in row_kinds))
+    return tuple(f"c{j}" for j in range(width)), rows
+
+
+def _csv_and_oracle(columns, rows) -> list:
+    """render_samples_csv's and the row-by-row oracle's outcome on the same
+    rows: the text, or the type and message of the refusal."""
+    rep = ExperimentReport("demo", ExperimentConfig(), "-", columns, rows, {}, [])
+    outcomes = []
+    for render in (lambda: render_samples_csv(rep), lambda: samples_csv_by_row(columns, rows)):
+        try:
+            outcomes.append(render())
+        except (TypeError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
 
 
 class TestConfig:
@@ -174,6 +217,11 @@ class TestReport:
         assert text == "a,b,c\n1,1,\n2,0,0.25\n"
         rep.samples = [("x", 55.0, np.float64(0.1)), ("y-z", 3e-3, 0.8775)]
         assert render_samples_csv(rep) == "a,b,c\nx,55.0,0.1\ny-z,0.003,0.8775\n"
+        # 0.0 == -0.0, yet each zero keeps its sign, whichever comes first
+        rep.columns = ("a",)
+        for zeros in ([0.0, -0.0, 0.0], [-0.0, 0.0, 1.5]):
+            rep.samples = [(z,) for z in zeros]
+            assert render_samples_csv(rep) == "a\n" + "".join(f"{z!r}\n" for z in zeros)
 
     def test_unsupported_types_refused(self):
         rep = self._tiny_report()
@@ -203,11 +251,63 @@ class TestReport:
             rep.samples = [(cell,)]
             with pytest.raises(ValueError):
                 render_samples_csv(rep)
+            # and in a later block of rows
+            rep.samples = [(0.5,)] * _CSV_BLOCK + [(cell,)]
+            with pytest.raises(ValueError):
+                render_samples_csv(rep)
 
     def test_write_report_creates_files(self, tmp_path):
         json_path, csv_path = write_report(self._tiny_report(), tmp_path / "out")
         assert json_path.read_text().startswith("{")
         assert csv_path.read_text().startswith("a,b")
+
+    def test_refused_report_leaves_the_previous_pair(self, tmp_path):
+        first = self._tiny_report()
+        json_path, csv_path = write_report(first, tmp_path)
+        before = json_path.read_text(), csv_path.read_text()
+        second = self._tiny_report()
+        second.summary = {"v": 2}
+        second.samples = [(1, math.inf)]
+        with pytest.raises(ValueError):
+            write_report(second, tmp_path)
+        assert (json_path.read_text(), csv_path.read_text()) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(_csv_tables(), st.sampled_from([1, 2, 3, 5]))
+    def test_csv_matches_the_row_by_row_oracle(self, table, block):
+        # small blocks put block boundaries inside a dozen rows
+        with mock.patch("thinpart.harness.report._CSV_BLOCK", block):
+            got, want = _csv_and_oracle(*table)
+        assert got == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(_csv_tables(min_rows=1, max_rows=4), st.integers(_CSV_BLOCK - 2, 2 * _CSV_BLOCK + 2))
+    def test_csv_matches_the_oracle_across_real_blocks(self, table, n_rows):
+        # a few drawn rows repeated past one or two block boundaries
+        columns, pattern = table
+        rows = [pattern[i % len(pattern)] for i in range(n_rows)]
+        got, want = _csv_and_oracle(columns, rows)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            run_expansion_probability,
+            lambda cfg: run_key_inequality(cfg, p_hat=0.88),
+            lambda cfg: run_stationary_bound(cfg, p_hat=0.88),
+            lambda cfg: run_integrability(cfg, p_hat=0.88),
+            run_evanescence,
+            run_constants,
+            run_goodfn,
+            run_grassmann,
+        ],
+        ids=["expansion-prob", "key-inequality", "stationary-bound", "integrability",
+             "evanescence", "constants", "goodfn", "grassmann"],
+    )
+    def test_runner_samples_render_as_the_oracle(self, runner):
+        rep = runner(_SMALL)
+        assert rep.samples
+        assert render_samples_csv(rep) == samples_csv_by_row(rep.columns, rep.samples)
 
 
 class TestRunners:
