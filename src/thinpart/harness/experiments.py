@@ -171,7 +171,12 @@ def drift_parameters(
 
 
 def _pool_map(fn, tasks, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    import os
+
+    # the fork start method forks all max_workers children at the first
+    # submit, so start no more processes than tasks or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here: at workers = 1 it would load multiprocessing for nothing
     from concurrent.futures import ProcessPoolExecutor

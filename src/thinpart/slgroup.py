@@ -205,22 +205,22 @@ _LLL_DELTA = 0.75
 def _lll_reduce(basis: np.ndarray):
     """Column LLL reduction in floating point.
 
-    Returns (reduced, u) with reduced = basis @ u and u integer of
-    determinant +-1.  One QR gives the initial Gram-Schmidt coefficients
-    mu and squared lengths |b*|^2; size reductions and swaps then update
-    both in place (swap formulas of Cohen, A Course in Computational
-    Algebraic Number Theory, Algorithm 2.6.3).  Reduction quality only
-    affects the enumeration speed downstream, never its completeness, so
-    float round-off in the swap decisions is harmless; an iteration cap
+    Returns the integer transform u, of determinant +-1; the reduced
+    basis is basis @ u, which callers rebuild from the exact u.  One QR
+    gives the initial Gram-Schmidt coefficients mu and squared lengths
+    |b*|^2; size reductions and swaps then update both in place (swap
+    formulas of Cohen, A Course in Computational Algebraic Number Theory,
+    Algorithm 2.6.3), and every decision reads only those, so no float
+    copy of the reduced columns is kept.  Reduction quality only affects
+    the enumeration speed downstream, never its completeness, so float
+    round-off in the swap decisions is harmless; an iteration cap
     backstops termination.
     """
-    b0 = np.array(basis, dtype=float)
-    d = b0.shape[1]
-    r = np.linalg.qr(b0, mode="r").tolist()
+    r = np.linalg.qr(np.asarray(basis, dtype=float), mode="r").tolist()
+    d = len(r)
     mu = [[r[j][i] / r[j][j] for j in range(i)] for i in range(d)]
     star = [r[j][j] * r[j][j] for j in range(d)]
-    # b and u hold the columns
-    b = b0.T.tolist()
+    # u holds the columns
     u = [[int(i == j) for i in range(d)] for j in range(d)]
     k = 1
     steps = 0
@@ -231,7 +231,6 @@ def _lll_reduce(basis: np.ndarray):
         for j in range(k - 1, -1, -1):
             q = round(mk[j])
             if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
                 mk[j] -= q
                 mj = mu[j]
@@ -241,7 +240,6 @@ def _lll_reduce(basis: np.ndarray):
         if star[k] >= (_LLL_DELTA - m * m) * star[k - 1]:
             k += 1
             continue
-        b[k - 1], b[k] = b[k], b[k - 1]
         u[k - 1], u[k] = u[k], u[k - 1]
         big = star[k] + m * m * star[k - 1]
         m_new = m * star[k - 1] / big
@@ -254,7 +252,7 @@ def _lll_reduce(basis: np.ndarray):
             mi[k] = mi[k - 1] - m * t
             mi[k - 1] = t + m_new * mi[k]
         k = max(k - 1, 1)
-    return np.array(b).T, np.array(u, dtype=np.int64).T
+    return np.array(u, dtype=np.int64).T
 
 
 def _padded_radius(r: float) -> float:
@@ -370,11 +368,10 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     most rho to be unipotent (unipotence_bound_holds).  The front end runs
     once per stack and for every n: the entry-bound SVDs, the determinants,
     the cap check and the rho shortcut of entries whose window is empty.
-    The entries left over take _gauss_radius at n = 2; at n >= 3 they take
-    the inverses and the kron(g, g^{-T}) lattices, broadcast as plain
-    products, and then _search_radius.  Each stacked piece is
-    bit-identical to its one-matrix form, so an entry does not depend on
-    the rest of the stack.
+    The entries left over take _gauss_radius at n = 2 and _search_radius,
+    one conjugator at a time, at n >= 3.  Each stacked piece of the front
+    end is bit-identical to its one-matrix form, so an entry does not
+    depend on the rest of the stack.
     """
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
@@ -406,15 +403,8 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
         for index, g in zip(search, rows):
             out[index] = _gauss_radius(g, dets[index], rp.rho)
         return out
-    g = gs[search]
-    g_inv = np.linalg.inv(g)
-    g_inv_t = g_inv.swapaxes(1, 2)
-    # kron(a, b)[i n + k, j n + l] = a[i, j] b[k, l]
-    lattice = (g[:, :, None, :, None] * g_inv_t[:, None, :, None, :]).reshape(
-        len(search), n * n, n * n
-    )
-    for i, index in enumerate(search):
-        out[index] = _search_radius(g[i], g_inv[i], lattice[i], rp.rho)
+    for index in search:
+        out[index] = _search_radius(gs[index], rp.rho)
     return out
 
 
@@ -471,11 +461,16 @@ def _gauss_reduce(g):
     return [[a, b], [c, d]]
 
 
-def _search_radius(g, g_inv, lattice, rho: float) -> float:
-    # the LLL-reduced, shrinking ball search of discreteness_radii
+def _search_radius(g, rho: float) -> float:
+    """The LLL-reduced, shrinking ball search of discreteness_radii for one
+    n x n conjugator g: LLL on the lattice kron(g, g^{-T}), then the ball
+    search on the triangle of a QR of lattice @ u, the reduced basis
+    rebuilt from the exact integer transform u."""
     n = g.shape[0]
-    reduced, transform = _lll_reduce(lattice)
-    rmat = np.linalg.qr(reduced, mode="r")
+    g_inv = np.linalg.inv(g)
+    lattice = np.kron(g, g_inv.T)
+    transform = _lll_reduce(lattice)
+    rmat = np.linalg.qr(lattice @ transform, mode="r")
     best = rho
 
     def confirm(y):
@@ -512,8 +507,9 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
     and s = sqrt|ad - bc|, R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].
     The columns of R are then still reduced: |r12| <= r11 / 2 and
     r11^2 <= r12^2 + r22^2.  At n >= 3, each matrix takes the LLL
-    reduction, and R comes from a QR of the reduced basis, its diagonal
-    made positive; |det(g u)| is then the product of that diagonal.
+    transform u (_lll_reduce), and R comes from a QR of g @ u, its
+    diagonal made positive; |det(g u)| is then the product of that
+    diagonal.
     """
     gs = np.asarray(gs, dtype=float)
     if gs.ndim == 2:
@@ -530,8 +526,7 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
         return out
     out = np.empty_like(gs)
     for i, g in enumerate(gs):
-        reduced, _ = _lll_reduce(g)
-        r = np.linalg.qr(reduced, mode="r")
+        r = np.linalg.qr(g @ _lll_reduce(g), mode="r")
         r *= np.sign(np.diag(r))[:, None]
         out[i] = r / np.prod(np.diag(r)) ** (1.0 / n)
     return out

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -575,6 +576,36 @@ class TestDeterminism:
         two = run_expansion_probability(dataclasses.replace(_SMALL, workers=2))
         assert one.summary == two.summary
         assert one.samples == two.samples
+
+    def test_pool_starts_no_more_processes_than_tasks_or_cores(self, monkeypatch):
+        # a fake pool records what it is asked for and maps in-process, so
+        # no process starts, whatever the worker count
+        asked = {}
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                asked["chunksize"] = chunksize
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        tasks = list(range(-20, 20))
+        assert experiments._pool_map(abs, tasks, 10**6) == list(map(abs, tasks))
+        assert asked == {"max_workers": 3, "chunksize": 3}
+        # an unknown core count runs the tasks in-process, with no pool
+        asked.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments._pool_map(abs, tasks, 10**6) == list(map(abs, tasks))
+        assert asked == {}
 
     def test_seed_changes_samples(self):
         base = run_expansion_probability(_SMALL)

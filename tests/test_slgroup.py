@@ -222,18 +222,17 @@ class TestLatticeReduction:
         rng = np.random.default_rng([34, case])
         d = int(rng.integers(2, 5))
         basis = rng.standard_normal((d, d)) + np.eye(d)
-        reduced, u = _lll_reduce(basis)
-        assert abs(int_det(u)) == 1
-        assert np.abs(basis @ u.astype(float) - reduced).max() <= 1e-9
+        assert abs(int_det(_lll_reduce(basis))) == 1
 
     @pytest.mark.parametrize("case", range(15))
     def test_lll_first_vector_quality(self, case):
         rng = np.random.default_rng([35, case])
         d = 3
         basis = rng.integers(-4, 5, size=(d, d)).astype(float)
-        if abs(np.linalg.det(basis)) < 0.5:
-            pytest.skip("degenerate draw")
-        reduced, _ = _lll_reduce(basis)
+        # redraw singular bases from the same stream, so every case checks one
+        while abs(np.linalg.det(basis)) < 0.5:
+            basis = rng.integers(-4, 5, size=(d, d)).astype(float)
+        reduced = basis @ _lll_reduce(basis)
         min_col = float(np.linalg.norm(basis, axis=0).min())
         first = float(np.linalg.norm(reduced[:, 0]))
         assert first <= 2.0 ** ((d - 1) / 2.0) * min_col * (1.0 + 1e-9)
@@ -254,14 +253,12 @@ class TestLatticeReduction:
         # the in-place Gram-Schmidt updates take the same decisions as a
         # fresh QR after every swap
         for basis in self._reduction_inputs():
-            reduced, u = _lll_reduce(basis)
-            ref_reduced, ref_u = qr_lll_reduce(basis)
-            assert np.array_equal(u, ref_u)
-            assert np.array_equal(reduced, ref_reduced)
+            _, ref_u = qr_lll_reduce(basis)
+            assert np.array_equal(_lll_reduce(basis), ref_u)
 
     def test_lll_output_is_size_reduced_and_lovasz(self):
         for basis in self._reduction_inputs():
-            reduced, _ = _lll_reduce(basis)
+            reduced = basis @ _lll_reduce(basis)
             rr = np.linalg.qr(reduced, mode="r")
             diag = np.diag(rr)
             mu = rr / diag[:, None]  # mu[j, k] for j < k
@@ -406,8 +403,7 @@ class TestDiscretenessRadius:
         # at rho, so the minima agree exactly
         nontrivial = 0
         for g, rho, best, _ in _box_oracle_cases():
-            g_inv = np.linalg.inv(g)
-            assert _search_radius(g, g_inv, np.kron(g, g_inv.T), rho) == best
+            assert _search_radius(g, rho) == best
             nontrivial += best < rho
         assert nontrivial >= 20
 
@@ -579,7 +575,7 @@ class TestReducedConjugator:
             swap[:, 0] *= -1.0
             for wild in (g @ shear, g @ shear @ swap):
                 self._assert_tame(wild, reduced_conjugator(wild), 1e-9)
-                flipped += int_det(_lll_reduce(wild)[1]) == -1
+                flipped += int_det(_lll_reduce(wild)) == -1
         assert flipped
 
 
@@ -814,8 +810,7 @@ class TestGaussOracle:
         rng = np.random.default_rng([47, seed])
         g = sample_base_conjugator(2, rng, cond_low=cond, cond_high=cond)
         rotated = haar_orthogonal(2, rng) @ g
-        g_inv = np.linalg.inv(g)
-        want = _search_radius(g, g_inv, np.kron(g, g_inv.T), rho)
+        want = _search_radius(g, rho)
         got = model_radius(g, rp)
         assert abs(got / want - 1.0) <= 1e-9
         assert abs(model_radius(rotated, rp) / got - 1.0) <= 1e-12
