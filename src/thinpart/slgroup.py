@@ -19,7 +19,7 @@ from .rootdata import group_constants
 
 # Search radius for discreteness.  Every lattice element of log-norm at
 # most rho is unipotent while K^2 rho^2 e^{K rho} / 2 < 1 with
-# K = ceil((n - 1) / 2) (_unipotent_log_norm); at 0.34 that holds for
+# K = ceil((n - 1) / 2) (unipotence_bound_holds); at 0.34 that holds for
 # every n <= 5.
 ZASSENHAUS_RADIUS = 0.34
 
@@ -91,12 +91,14 @@ def expanding_element(n: int, lam: float, x0: float) -> SemisimpleParams:
         n0 += 1
     while n0 > 1 and lambda0**n0 > lam:
         n0 -= 1
-    exponents = (n - 1) / 2.0 - np.arange(n)
-    s_lambda = np.diag(x0 ** (n0 * exponents))
+    # the adjoint norm first: it is the largest entry ratio of s_lambda, so
+    # once it is a finite float no entry over- or underflows
     gc = group_constants(n)
     ad_norm = lambda0 ** (n0 * gc.ht_sum)
     if ad_norm > lam**gc.ht_sum * (1.0 + 1e-12):
         raise ArithmeticError("adjoint norm exceeds the requested scale")
+    exponents = (n - 1) / 2.0 - np.arange(n)
+    s_lambda = np.diag(x0 ** (n0 * exponents))
     return SemisimpleParams(
         n=n, lambda0=lambda0, n0=n0, s_lambda=s_lambda, ad_norm=ad_norm
     )
@@ -122,7 +124,20 @@ def radius_params(sp: SemisimpleParams) -> RadiusParams:
 def unipotence_bound_holds(n: int, rho: float) -> bool:
     """True when every element of g SL(n,Z) g^{-1} of log-norm at most rho
     is unipotent: rho <= ZASSENHAUS_RADIUS and K^2 rho^2 e^{K rho} / 2 < 1
-    with K = ceil((n - 1) / 2), which at rho = 0.34 refuses n >= 6."""
+    with K = ceil((n - 1) / 2), which at rho = 0.34 refuses n >= 6.
+
+    Proof.  Take g gamma g^{-1} = e^X with |X|_F <= rho.  X is real with
+    det e^X = 1, so its eigenvalues mu_i sum to 0, and
+    sum |mu_i|^2 <= rho^2 (Schur).  So
+    tr gamma^k - n = sum_i (e^{k mu_i} - 1 - k mu_i) is at most
+    k^2 rho^2 e^{|k| rho} / 2 < 1 in modulus for |k| <= K, and the integer
+    tr gamma^{+-k} equals n.  Newton's identities turn the power sums of
+    gamma and of gamma^{-1} into the coefficients e_1 .. e_K and, as
+    e_j(gamma^{-1}) = e_{n-j}(gamma) when det gamma = 1, e_{n-K} .. e_{n-1}.
+    With e_n = det gamma = 1 and 2K >= n - 1 these are all of them, and
+    they equal those of the identity, so the characteristic polynomial is
+    (x - 1)^n.
+    """
     k_max = n // 2  # ceil((n - 1) / 2)
     return rho <= ZASSENHAUS_RADIUS and (k_max * rho) ** 2 * math.exp(k_max * rho) / 2 < 1.0
 
@@ -305,40 +320,22 @@ def _search_ball(rmat: np.ndarray, radius: float, confirm) -> None:
     descend(d - 1, 0.0, [0.0] * d)
 
 
-def _unipotent_log_norm(g, g_inv, nil):
-    """|log(g gamma g^{-1})|_F for gamma = I + nil, nil an integer matrix,
-    or None when gamma is not unipotent.
+def _square_zero_log_norm(g, g_inv, c):
+    """|g c g^{-1}|_F for gamma = I + c, c an integer matrix with c^2 = 0
+    (tested in python ints, which cannot overflow): N = g c g^{-1} squares
+    to zero too, so it is the exact log.  None when c^2 != 0.
 
-    The test nil^n = 0 runs in python ints, whose powers cannot overflow.
-    For nilpotent nil the log is the finite sum
-    L = sum_{k<n} (-1)^{k+1} nil^k / k, so the value is |g L g^{-1}|_F.
-
-    Only unipotent gamma have log-norm at most rho once
-    K^2 rho^2 e^{K rho} / 2 < 1, K = ceil((n - 1) / 2), which
-    discreteness_radii enforces.  Take g gamma g^{-1} = e^X with
-    |X|_F <= rho.  X is real with det e^X = 1, so its eigenvalues mu_i sum
-    to 0, and sum |mu_i|^2 <= rho^2 (Schur).  So
-    tr gamma^k - n = sum_i (e^{k mu_i} - 1 - k mu_i) is at most
-    k^2 rho^2 e^{|k| rho} / 2 < 1 in modulus for |k| <= K, and the integer
-    tr gamma^{+-k} equals n.  Newton's identities turn the power sums of
-    gamma and of gamma^{-1} into the coefficients e_1 .. e_K and, as
-    e_j(gamma^{-1}) = e_{n-j}(gamma) when det gamma = 1, e_{n-K} .. e_{n-1}.
-    With e_n = det gamma = 1 and 2K >= n - 1 these are all of them, and
-    they equal those of the identity, so the characteristic polynomial is
-    (x - 1)^n.  _gauss_radius is the K = 1 case.
+    Lemma: the minimiser is square-zero.  Take g gamma g^{-1} = I + N = e^X
+    with |X|_F <= rho <= 0.34; c is nilpotent (unipotence_bound_holds).
+    If c^2 != 0, let k >= 2 be the largest power with c^k != 0.  Then
+    I + c^k lies in SL(n,Z) with (c^k)^2 = 0, its exact log is N^k, and
+    as |N|_F <= e^{|X|} - 1 < 1, |N^k|_F <= |N|_F^2 <= 0.49 |X|: shorter.
     """
-    n = len(nil)
-    power = [[int(v) for v in row] for row in nil]
-    columns = list(zip(*power))
-    log = np.zeros((n, n))
-    for k in range(1, n + 1):
-        if not any(map(any, power)):
-            break
-        if k == n:
-            return None
-        log += ((-1.0) ** (k + 1) / k) * np.array(power, dtype=float)
-        power = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in power]
-    return frobenius(g @ log @ g_inv)
+    rows = c.tolist()
+    columns = list(zip(*rows))
+    if any(sum(a * b for a, b in zip(row, col)) for row in rows for col in columns):
+        return None
+    return frobenius(g @ c @ g_inv)
 
 
 def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
@@ -352,10 +349,10 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     integer point of the lattice spanned by kron(g, g^{-T}) inside that
     ball.  The ball is searched completely (LLL-reduced basis, then a
     triangular search), so no qualifying element can be missed; a small
-    inflation of the radius covers search round-off.  Every hit must be
-    unipotent, since no other element reaches log-norm rho, and its
-    log-norm is a finite nilpotent sum (_unipotent_log_norm, whose
-    docstring holds the proof).  Each confirmed hit of log-norm v below
+    inflation of the radius covers search round-off.  A hit I + C counts
+    only if C^2 = 0, with log-norm |g C g^{-1}|_F: all log-norms up to rho
+    are unipotent (unipotence_bound_holds) and the least is square-zero
+    (_square_zero_log_norm).  Each confirmed hit of log-norm v below
     the best so far shrinks the ball to the padded v e^v: every element
     of log-norm at most v still lies inside, so the minimiser is still
     found and the result is the same as over the full ball.
@@ -415,11 +412,12 @@ def _gauss_radius(g, det: float, rho: float) -> float:
 
     Proof.  Take gamma in SL(2,Z), gamma != I, with log(g gamma g^{-1}) = X
     and |X|_F <= rho.  Then |tr gamma - 2| <= rho^2 e^rho / 2 < 1, so the
-    integer trace is 2 and gamma is unipotent (_unipotent_log_norm, K = 1):
-    gamma = I + m v (J v)^T with v primitive, m a nonzero integer and J
-    the quarter turn.  Since g^T J g = det(g) J, conjugation gives
+    integer trace is 2 and gamma is unipotent (unipotence_bound_holds,
+    K = 1): gamma = I + m v (J v)^T with v primitive, m a nonzero integer
+    and J the quarter turn.  Since g^T J g = det(g) J, conjugation gives
     g gamma g^{-1} = I + N with N = m (g v)(J g v)^T / det(g).  N^2 = 0, so
-    N is the exact log, of Frobenius norm |m| |g v|^2 / det(g).  The least
+    N is the exact log (_square_zero_log_norm, whose lemma is empty at
+    n = 2), of Frobenius norm |m| |g v|^2 / det(g).  The least
     such norm takes m = 1 and the shortest lattice vector, and that element
     lies in the lattice, so the radius is min(rho, lambda_1^2 / det g).
     Dividing by det keeps the value a function of the conjugated lattice,
@@ -475,7 +473,7 @@ def _search_radius(g, rho: float) -> float:
 
     def confirm(y):
         nonlocal best
-        value = _unipotent_log_norm(g, g_inv, (transform @ y).reshape(n, n))
+        value = _square_zero_log_norm(g, g_inv, (transform @ y).reshape(n, n))
         if value is None or value >= best:
             return None
         best = value

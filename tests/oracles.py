@@ -4,10 +4,11 @@ Each one reaches its answer by a route independent of the code under test:
 exhaustive integer windows for the discreteness radius (every n = 2
 candidate, and every n = 3 one within entry window 2 with log-norms from
 scipy's logm), fraction-free elimination for integer determinants, the
-Mercator-series matrix log, minors for wedge norms, explicit roots for the
-type-A constants, and the adjoint action as an explicit matrix on sl(n),
-whose spectral norm checks the closed-form Ad norms (expanding_element's
-and diagonal_ad_norm's largest entry ratio).
+Mercator-series matrix log, the finite log sum of every unipotent element
+(not only the square-zero ones the library confirms), minors for wedge
+norms, explicit roots for the type-A constants, and the adjoint action as
+an explicit matrix on sl(n), whose spectral norm checks the closed-form Ad
+norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
 The radius kernel's two search layers also keep their plain forms here:
 an LLL that takes a fresh QR after every swap, and a full interval
 enumeration of the ball that never shrinks it.  A mu_s draw keeps its
@@ -140,6 +141,27 @@ def sl3_window_radius(g: np.ndarray, rho: float) -> float:
         if np.abs(np.imag(log)).max() <= 1e-12:
             best = min(best, float(np.linalg.norm(np.real(log), "fro")))
     return best
+
+
+def nilpotent_log_norm(g, g_inv, nil):
+    """|log(g gamma g^{-1})|_F for gamma = I + nil, nil an integer matrix,
+    or None when gamma is not unipotent.  The test nil^n = 0 runs in python
+    ints; for nilpotent nil the log is the finite sum
+    L = sum_{k<n} (-1)^{k+1} nil^k / k, and the value is |g L g^{-1}|_F.
+    Unlike the library's confirm it weighs every unipotent gamma, also
+    those with nil^2 != 0 that the square-zero lemma skips."""
+    n = len(nil)
+    power = [[int(v) for v in row] for row in nil]
+    columns = list(zip(*power))
+    log = np.zeros((n, n))
+    for k in range(1, n + 1):
+        if not any(map(any, power)):
+            break
+        if k == n:
+            return None
+        log += ((-1.0) ** (k + 1) / k) * np.array(power, dtype=float)
+        power = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in power]
+    return frobenius(g @ log @ g_inv)
 
 
 def int_det(mat: np.ndarray) -> int:

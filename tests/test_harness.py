@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -156,6 +157,24 @@ class TestConfig:
     def test_eps_grid_must_sit_below_rho(self):
         with pytest.raises(ConfigError, match="search radius"):
             derive_group(ExperimentConfig(eps_grid=(0.1, 0.01)))
+
+    def test_adjoint_norm_refused_before_s_lambda_is_built(self):
+        # at the default scale lambda0^(n0 (n - 1)) overflows a double from
+        # n = 179 on; it is checked before the n x n s_lambda is built,
+        # whose entries overflow too (a numpy warning) and which takes
+        # 72 MB at n = 3000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="group parameters rejected"):
+                derive_group(ExperimentConfig(group_n=800))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="group parameters rejected"):
+                derive_group(ExperimentConfig(group_n=3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_whole_floats_stay_floats(self):
         cfg = config_from_dict({"lambda": 55, "a1": 2})

@@ -19,6 +19,7 @@ from oracles import (
     lattice_candidates,
     mat_log,
     mu_s_draw,
+    nilpotent_log_norm,
     op_norm,
     qr_lll_reduce,
     sl3_window_radius,
@@ -41,7 +42,7 @@ from thinpart.slgroup import (
     _lll_reduce,
     _search_ball,
     _search_radius,
-    _unipotent_log_norm,
+    _square_zero_log_norm,
     discreteness_radii,
     exact_expansion_probability,
     expanding_element,
@@ -337,10 +338,10 @@ class TestLatticeReduction:
 
 @functools.lru_cache(maxsize=None)
 def _box_oracle_cases():
-    """(g, rho, kernel-log minimum, series-log minimum) at a loose rho and
-    at the default config's rho ~ 0.0062 with the conditioning its base
+    """(g, rho, nilpotent-log minimum, series-log minimum) at a loose rho
+    and at the default config's rho ~ 0.0062 with the conditioning its base
     draws reach; each minimum is the least log-norm over the exhaustive
-    entry window, taken with the kernel's nilpotent log and with the
+    entry window, taken with the finite nilpotent log sum and with the
     Mercator series."""
     inputs = [(0.3, 1.5, 10.0, 39, 30), (_DEFAULT_RP.rho, 1e2, 3e3, 41, 24)]
     cases = []
@@ -351,7 +352,7 @@ def _box_oracle_cases():
             g_inv = np.linalg.inv(g)
             nilpotent = series = rho
             for gamma in lattice_candidates(g, rho):
-                value = _unipotent_log_norm(g, g_inv, gamma - np.eye(2, dtype=np.int64))
+                value = nilpotent_log_norm(g, g_inv, gamma - np.eye(2, dtype=np.int64))
                 if value is not None:
                     nilpotent = min(nilpotent, value)
                 try:
@@ -399,8 +400,9 @@ class TestDiscretenessRadius:
 
     def test_box_oracle_agreement_is_exact(self):
         # dual route to the general search kernel: exhaustive box
-        # enumeration + the same log-norm formula; the box route is complete
-        # at rho, so the minima agree exactly
+        # enumeration + the finite nilpotent log sum, which reduces to the
+        # kernel's square-zero log-norm; the box route is complete at rho,
+        # so the minima agree exactly
         nontrivial = 0
         for g, rho, best, _ in _box_oracle_cases():
             assert _search_radius(g, rho) == best
@@ -420,10 +422,14 @@ class TestDiscretenessRadius:
     @pytest.mark.parametrize("rho", [0.3, 0.05])
     def test_n3_matches_reference_full_ball(self, rho):
         # reference route at n = 3: QR-per-swap LLL, then every point of the
-        # padded rho-ball, none skipped by shrinking; the minima agree exactly
+        # padded rho-ball, none skipped by shrinking, each unipotent one
+        # weighed by the finite log sum; the minima agree exactly, so the
+        # unipotent hits with C^2 != 0 that the kernel skips fuzz the
+        # square-zero lemma, and at rho = 0.3 there must be some
         rp = RadiusParams(rho=rho)
         radius = rho * math.exp(rho) * (1.0 + 1e-9) + 1e-12
         nontrivial = 0
+        not_square_zero = 0
         for case in range(12):
             rng = np.random.default_rng([43, case])
             g = sample_base_conjugator(3, rng, cond_low=2.0, cond_high=30.0)
@@ -431,12 +437,29 @@ class TestDiscretenessRadius:
             reduced, transform = qr_lll_reduce(np.kron(g, g_inv.T))
             best = rho
             for y in ball_points(np.linalg.qr(reduced, mode="r"), radius):
-                value = _unipotent_log_norm(g, g_inv, (transform @ y).reshape(3, 3))
+                c = (transform @ y).reshape(3, 3)
+                value = nilpotent_log_norm(g, g_inv, c)
                 if value is not None:
                     best = min(best, value)
+                    not_square_zero += bool((c @ c).any())
             assert model_radius(g, rp) == best
             nontrivial += best < rho
         assert nontrivial >= 2
+        if rho == 0.3:
+            assert not_square_zero >= 1
+
+    def test_hit_with_nonzero_square_is_rejected(self):
+        # the ball of g = k diag(0.1, 1, 10) holds I + C with
+        # C = e1 e2^T + e2 e3^T, unipotent with C^2 = e1 e3^T != 0, and
+        # I + C^2; the confirm rejects C and the radius comes from C^2
+        g = haar_orthogonal(3, np.random.default_rng(7)) @ np.diag([0.1, 1.0, 10.0])
+        g_inv = np.linalg.inv(g)
+        c = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int64)
+        assert nilpotent_log_norm(g, g_inv, c) == pytest.approx(0.1415, abs=1e-4)
+        assert _square_zero_log_norm(g, g_inv, c) is None
+        got = discreteness_radii(g[None], RadiusParams(rho=ZASSENHAUS_RADIUS))[0]
+        assert got == frobenius(g @ (c @ c) @ g_inv)
+        assert got == pytest.approx(0.01, rel=1e-12)
 
     def test_n3_matches_window_scan(self):
         # every det-1 matrix of entry window 2 with scipy's logm, which
@@ -453,18 +476,21 @@ class TestDiscretenessRadius:
         assert nontrivial >= 20
 
     def test_unipotent_log_norm(self):
-        # N^3 != 0: the finite sum N - N^2/2 + N^3/3, conjugated, equals
-        # scipy's logm; determinant 1 without unipotence gives None, also
-        # at trace n (the companion matrix of x^3 - 3x^2 - 1)
+        # N^3 != 0: the oracle's finite sum N - N^2/2 + N^3/3, conjugated,
+        # equals scipy's logm, and the library's square-zero confirm
+        # rejects it; determinant 1 without unipotence gives None from
+        # both, also at trace n (the companion matrix of x^3 - 3x^2 - 1)
         g = sample_base_conjugator(4, np.random.default_rng(50), cond_low=2.0, cond_high=5.0)
         g_inv = np.linalg.inv(g)
         nil = np.triu(np.arange(1, 17).reshape(4, 4), 1)
         want = frobenius(scipy.linalg.logm(g @ (np.eye(4) + nil) @ g_inv))
-        assert _unipotent_log_norm(g, g_inv, nil) == pytest.approx(want, rel=1e-12)
+        assert nilpotent_log_norm(g, g_inv, nil) == pytest.approx(want, rel=1e-12)
+        assert _square_zero_log_norm(g, g_inv, nil) is None
         for gamma in ([[2, 1], [1, 1]], [[0, -1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 3]]):
             n = len(gamma)
             nil = np.array(gamma) - np.eye(n, dtype=np.int64)
-            assert _unipotent_log_norm(np.eye(n), np.eye(n), nil) is None
+            for log_norm in (nilpotent_log_norm, _square_zero_log_norm):
+                assert log_norm(np.eye(n), np.eye(n), nil) is None
 
     def test_rho_above_zassenhaus_rejected(self):
         with pytest.raises(ValueError, match="unipotence"):
