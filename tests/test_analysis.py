@@ -6,6 +6,7 @@ import pytest
 from oracles import full_draw_sublevel_measure, sorted_sublevel_measures
 from thinpart.analysis import (
     _BLOCK,
+    _WINDOW_MARGIN,
     GridTooSmallError,
     compact_group_sublevel_fit,
     compact_group_sublevel_measures,
@@ -63,10 +64,20 @@ class TestCompactGroupFit:
         with pytest.raises(ValueError, match="at least 1 sample"):
             compact_group_sublevel_measures([1e-1, 1e-2], np.random.default_rng(22), n_samples)
 
+    @pytest.mark.parametrize("grid", [[], [-0.1], [0.1, 0.0], [-2.0], [math.nan, 0.1], [0.1, math.nan]])
+    def test_grid_without_positive_eps_raises_before_drawing(self, grid):
+        # refused with sublevel_measure's wording, whatever the position of the bad eps
+        rng, ref = np.random.default_rng(26), np.random.default_rng(26)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            compact_group_sublevel_measures(grid, rng, 1_000)
+        assert rng.random() == ref.random()
+
 
 # sample counts on both sides of the block boundary, and several blocks with a tail
 _COUNTS = [1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17]
 _EPS_GRID = [0.5, 1e-3, 0.1, 2.0, 1e-2]  # unsorted, one eps above sup|f|
+# goodfn's grid, and the two sides of the 1/2 rule: windowed at max eps = 0.5, not at 0.5000001
+_WINDOW_GRIDS = [[1e-1, 1e-2, 1e-3], [1e-3, 0.5, 0.1], [0.25, 0.5000001, 1e-2]]
 
 
 class TestBlockedCounting:
@@ -74,11 +85,47 @@ class TestBlockedCounting:
 
     @pytest.mark.parametrize("n_samples", _COUNTS)
     def test_measures_match_sort_and_searchsorted(self, n_samples):
-        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
-        got = compact_group_sublevel_measures(_EPS_GRID, rng, n_samples)
-        want = sorted_sublevel_measures(_EPS_GRID, ref, n_samples)
+        for grid in [_EPS_GRID, *_WINDOW_GRIDS]:
+            rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+            got = compact_group_sublevel_measures(grid, rng, n_samples)
+            want = sorted_sublevel_measures(grid, ref, n_samples)
+            assert np.array_equal(got, want), grid
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("grid", _WINDOW_GRIDS[:2])
+    def test_angles_at_the_window_edges_count_as_a_full_cosine(self, grid):
+        # the edges of each sublevel set, the window's own edges and the ends of
+        # [0, 2 pi), each 0-4 ulp either side, served over more than one block
+        w = math.asin(max(grid)) + _WINDOW_MARGIN
+        centres = [math.pi / 2 + x for eps in grid for x in (math.asin(eps), -math.asin(eps))]
+        centres += [math.pi / 2 + w, math.pi / 2 - w]
+        centres += [np.pi + c for c in centres] + [0.0, np.pi, np.nextafter(2.0 * np.pi, 0.0)]
+        edges = []
+        for c in centres:
+            below = above = c
+            edges.append(c)
+            for _ in range(4):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                edges += [below, above]
+        edges = np.array([a for a in edges if 0.0 <= a < 2.0 * np.pi])
+        angles = np.tile(edges, _BLOCK // len(edges) + 2)
+
+        class Stub:
+            served = 0
+
+            def uniform(self, low, high, size):
+                assert (low, high) == (0.0, 2.0 * np.pi)
+                block = angles[self.served:self.served + size]
+                self.served += size
+                return block
+
+        stub = Stub()
+        got = compact_group_sublevel_measures(grid, stub, len(angles))
+        assert stub.served == len(angles) > _BLOCK
+        values = np.abs(np.cos(angles))
+        want = np.array([np.count_nonzero(values < eps) for eps in grid]) / len(angles)
         assert np.array_equal(got, want)
-        assert rng.random() == ref.random()
+        assert np.all(got > 0.0)
 
     def test_fit_matches_the_fit_of_the_oracle_measures(self):
         grid = [1e-1, 3e-1, 3e-2]

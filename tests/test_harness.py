@@ -27,6 +27,7 @@ from thinpart.harness.config import (
 )
 import thinpart
 from thinpart import slgroup
+from thinpart.analysis import compact_group_sublevel_measures
 from thinpart.harness.experiments import (
     _TAG_DRIFT_BASE,
     _TAG_WALK,
@@ -349,6 +350,14 @@ class TestRunners:
             tracemalloc.stop()
         assert report.all_passed()
         assert peak < 32 * 2**20
+        # the SO(2) count alone: its reused buffer is one block long
+        tracemalloc.start()
+        try:
+            compact_group_sublevel_measures([1e-1, 1e-2, 1e-3], np.random.default_rng(6), 10_000_000)
+            so2_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert so2_peak < 2 * 2**20
 
     def test_expansion_indicator_threshold(self):
         assert expansion_indicator(2.0, 1.0)
