@@ -42,13 +42,20 @@ def _count_below(draw, n_samples: int, eps_grid) -> np.ndarray:
     return counts
 
 
+def _require_positive(eps_grid) -> None:
+    # an empty grid is refused too: it would count nothing after a draw
+    if len(eps_grid) == 0 or not all(eps > 0 for eps in eps_grid):
+        raise ValueError("eps must be positive")
+
+
 def sublevel_measure(f, eps_grid, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """measure{|f(x)| < eps} for each eps, x uniform on [-1, 1]; f maps an
-    array of points to an array of values."""
+    array of points to an array of values.  Every eps must be > 0 (an
+    empty grid is refused too); the generator is not touched before that
+    check."""
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    if not all(eps > 0 for eps in eps_grid):
-        raise ValueError("eps must be positive")
+    _require_positive(eps_grid)
     counts = _count_below(lambda m: f(rng.uniform(-1.0, 1.0, size=m)), n_samples, eps_grid)
     return counts / n_samples
 
@@ -81,8 +88,7 @@ def compact_group_sublevel_measures(
     at eps = 1 (and asin is undefined beyond), so there every angle gets a
     cosine.
     """
-    if len(eps_grid) == 0 or not all(eps > 0 for eps in eps_grid):
-        raise ValueError("eps must be positive")
+    _require_positive(eps_grid)
     eps_max = max(eps_grid)
     if eps_max > 0.5:
         def draw(m):

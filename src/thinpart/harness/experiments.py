@@ -81,7 +81,7 @@ _WALK_BLOCK = 2 * _WALK_CHAINS
 
 class WalkCapError(RuntimeError):
     """Too many walk steps exceeded the entry window to trust the
-    occupation statistics."""
+    occupation statistics (n >= 3 only: n = 2 has no window)."""
 
     def __init__(self, steps_done: int, incidents: int, required: int, cap: int):
         super().__init__(
@@ -112,9 +112,9 @@ def model_radius(conjugators: np.ndarray, rp: RadiusParams) -> float | list:
     """Discreteness radius of one conjugator, or the list of radii of a
     stack, as reduced_conjugator takes one matrix or a stack.
 
-    One discreteness_radii call; an entry over the entry window raises its
-    EnumerationCapError, the first such entry in stack order, as a loop
-    over the stack would.
+    One discreteness_radii call; at n >= 3 an entry over the entry window
+    raises its EnumerationCapError, the first such entry in stack order,
+    as a loop over the stack would.
     """
     gs = np.asarray(conjugators, dtype=float)
     single = gs.ndim == 2
@@ -402,10 +402,11 @@ def conjugation_walk(cfg: ExperimentConfig) -> list:
     shorter one.  A round is one stacked product and one stacked
     reduced_conjugator, which changes nothing the radius can see but keeps
     each conjugator's conditioning near 1/radius; the radii of a block
-    come from one discreteness_radii call.  Steps whose search exceeds
-    the entry window are recorded as None and tolerated up to
+    come from one discreteness_radii call.  At n >= 3, steps whose search
+    exceeds the entry window are recorded as None and tolerated up to
     max(5, length/200) incidents, counted in step order; one more raises
-    WalkCapError at its step.
+    WalkCapError at its step.  The n = 2 radius has no entry window, so
+    an n = 2 walk has no incidents.
 
     The runners drop the first walk_length // 10 global steps as burn-in,
     which is the first floor(L / (10 C)) steps of every chain and one more
@@ -415,10 +416,11 @@ def conjugation_walk(cfg: ExperimentConfig) -> list:
     1-240 the kept steps match that rate at every eps down to 3e-5 within
     two between-chain standard errors (CHANGES.md).  C = 128 takes 12%
     less time than C = 64, and the stacked Lagrange-Gauss pass beats a
-    loop of scalar ones on walk rounds from about 48 matrices.  About 99%
-    of the default walk's radii stop at the front end's rho shortcut.  The
-    default walk takes about 0.05 s, against 0.11 s for one serial chain
-    (shared 2-core box, numpy 2.4).
+    loop of python ones on walk rounds from about 64 matrices.  At n = 2
+    a round's rotations are closed forms (haar_rotations) and a block's
+    radii one more Lagrange-Gauss pass, with no LAPACK call per matrix
+    but the determinants.  The default walk takes 0.015 s (minimum of 15
+    runs, shared 2-core box, numpy 2.4).
     """
     sp, rp = derive_group(cfg)
     rng = _rng(cfg.seed, _TAG_WALK, 0)

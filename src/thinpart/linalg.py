@@ -63,7 +63,24 @@ def haar_rotations(z: np.ndarray) -> np.ndarray:
     same LAPACK routine per matrix as a single call, and the signs are
     exact multiplications by +-1, so each rotation is bit-identical to the
     one its matrix gives alone.
+
+    n = 2 takes the closed form of that recipe, with no LAPACK call: for
+    first column (a, c) and h = hypot(a, c), the rotation is
+    [[a/h, -c/h], [c/h, a/h]].  In exact arithmetic the recipe gives the
+    same matrix: the sign-corrected first column of Q is (a, c) / h, and
+    the second is the unit vector orthogonal to it that makes det +1.  It
+    is Haar on SO(2) because the direction of a Gaussian vector is
+    uniform.  The second column of z is drawn but unused, so the stream
+    position does not depend on the recipe; the entries differ from the
+    QR recipe's by a few ulp.  Each rotation is elementwise in its own
+    column, so stacked and single draws agree bit for bit here too.
     """
+    if z.shape[-2:] == (2, 2):
+        q = np.empty(z.shape)
+        q[..., 0] = z[..., 0] / np.hypot(z[..., 0, 0], z[..., 1, 0])[..., None]
+        q[..., 0, 1] = -q[..., 1, 0]
+        q[..., 1, 1] = q[..., 0, 0]
+        return q
     q, r = np.linalg.qr(z)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     q[..., -1] *= np.sign(np.linalg.det(q))[..., None]

@@ -148,8 +148,9 @@ def mu_s_draws(sp: SemisimpleParams, rng: np.random.Generator, count: int) -> np
 
     The Gaussians come from rng as one C-order block, draw by draw and
     within a draw k1's before k2's, so count draws equal the first count
-    of a longer call on the same stream; one stacked QR, det and product
-    turn them into the draws.  Singular values of every draw equal the
+    of a longer call on the same stream; one stacked haar_rotations call
+    (a closed form at n = 2, QR and det at n >= 3) and one product turn
+    them into the draws.  Singular values of every draw equal the
     diagonal of s_lambda.
     """
     k = haar_rotations(rng.standard_normal((count, 2, sp.n, sp.n)))
@@ -163,7 +164,8 @@ def exact_expansion_probability(sp: SemisimpleParams, factor: float) -> float:
     0 when A <= factor.  Raises ValueError unless n = 2.
 
     Proof.  Scale g to det 1; r = |g v|^2 for the shortest vector g v of
-    g Z^2 (_gauss_radius).  A primitive w off the line of v has
+    g Z^2 (the n = 2 closed form of discreteness_radii).  A primitive w
+    off the line of v has
     |g v| |g w| >= |det [v w]| >= 1, and s_lambda = diag(A^-1/2, A^1/2)
     divides no squared length by more than A, so
     |s_lambda k g w|^2 >= 1/(A r) > 1/(A rho) = 1/0.34 > rho.  Only v is
@@ -338,13 +340,57 @@ def _square_zero_log_norm(g, g_inv, c):
     return frobenius(g @ c @ g_inv)
 
 
+# Largest entry modulus of an n = 2 conjugator (discreteness_radii): 2^510,
+# about 3.4e153, keeps every squared length of the Lagrange-Gauss pass in
+# the normal float range.
+_GAUSS_ENTRY_LIMIT = 2.0**510
+
+
 def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     """Smallest log-norm among elements of g SL(n,Z) g^{-1}, capped at rho,
     for every matrix g of a stack, one list entry each.
 
-    n = 2 has a closed form, min(rho, lambda_1(g Z^2)^2 / det g), by
-    Lagrange-Gauss reduction (_gauss_radius, whose docstring holds the
-    proof).  n >= 3 searches: gamma = I + C qualifies only if
+    n = 2 has a closed form: min(rho, lambda_1(g Z^2)^2 / det g).  Proof.
+    Take gamma in SL(2,Z), gamma != I, with log(g gamma g^{-1}) = X and
+    |X|_F <= rho.  Then |tr gamma - 2| <= rho^2 e^rho / 2 < 1, so the
+    integer trace is 2 and gamma is unipotent (unipotence_bound_holds,
+    K = 1): gamma = I + m v (J v)^T with v primitive, m a nonzero integer
+    and J the quarter turn.  Since g^T J g = det(g) J, conjugation gives
+    g gamma g^{-1} = I + N with N = m (g v)(J g v)^T / det(g).  N^2 = 0, so
+    N is the exact log (_square_zero_log_norm, whose lemma is empty at
+    n = 2), of Frobenius norm |m| |g v|^2 / det(g).  The least such norm
+    takes m = 1 and the shortest lattice vector, and that element lies in
+    the lattice, so the radius is min(rho, lambda_1^2 / det g).  Dividing
+    by det keeps the value a function of the conjugated lattice, which
+    scaling g does not change.  One Lagrange-Gauss pass over the whole
+    stack (_gauss_reduce_stack) gives the shortest column (a, c), and each
+    entry is min(rho, (a^2 + c^2) / det) in that order of operations; no
+    entry window, cap or search runs at n = 2.
+
+    This equals the rho that the n >= 3 front end's shortcut gives
+    wherever that shortcut would fire at n = 2, cond_2(g) rho e^rho < 1/2
+    (an empty entry window, _entry_bounds): every nonzero integer v has
+    |g v| >= sigma_min, so lambda_1^2 / det >= sigma_min^2 / (sigma_min
+    sigma_max) = 1 / cond_2(g) > 2 rho e^rho > rho, a factor above 2 that
+    round-off cannot close, and the min returns rho exactly.
+
+    The n = 2 float range.  Every entry must have modulus at most 2^510
+    (_GAUSS_ENTRY_LIMIT); any other entry raises ValueError for the
+    stack.  Then each column has squared length at most 2^1021.  Every
+    vector the pass holds is a nonzero lattice vector no longer than the
+    longer input column (a size reduction by the nearest integer does not
+    lengthen a column, and a swap only reorders), so squared lengths and
+    inner products stay at most 2^1021 (times 1 + 1e-15), below the float
+    maximum 2^1024.  From below, lambda_1 lambda_2 >= |det g| for the
+    successive minima and lambda_2 is at most the longer input column, so
+    lambda_1^2 >= det^2 2^-1021 > 2^-1022, the least normal float, as
+    |det - 1| <= 1e-10.  So no squared length, quotient or radius is inf,
+    NaN, zero or subnormal, and numpy raises no overflow, division or
+    invalid-value warning.  A single entry squared may still underflow;
+    numpy does not warn about that, and python floats round it the same
+    way, so the bits still match the one-matrix loop.
+
+    n >= 3 searches: gamma = I + C qualifies only if
     |g C g^{-1}|_F <= rho e^rho, i.e. the row-stacked vector of C is an
     integer point of the lattice spanned by kron(g, g^{-T}) inside that
     ball.  The ball is searched completely (LLL-reduced basis, then a
@@ -357,18 +403,18 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     of log-norm at most v still lies inside, so the minimiser is still
     found and the result is the same as over the full ball.
 
-    An entry whose entry window (_entry_bounds) exceeds DEFAULT_ENTRY_CAP
-    holds its EnumerationCapError in place of a radius, at every n, so a
-    caller can tolerate such entries one at a time; an invalid entry (not
-    finite, not invertible, determinant off 1) raises ValueError for the
-    whole stack, as does a rho too large for every element of log-norm at
-    most rho to be unipotent (unipotence_bound_holds).  The front end runs
-    once per stack and for every n: the entry-bound SVDs, the determinants,
-    the cap check and the rho shortcut of entries whose window is empty.
-    The entries left over take _gauss_radius at n = 2 and _search_radius,
-    one conjugator at a time, at n >= 3.  Each stacked piece of the front
-    end is bit-identical to its one-matrix form, so an entry does not
-    depend on the rest of the stack.
+    At n >= 3, an entry whose entry window (_entry_bounds) exceeds
+    DEFAULT_ENTRY_CAP holds its EnumerationCapError in place of a radius,
+    so a caller can tolerate such entries one at a time.  An invalid entry
+    (not finite, not invertible, determinant off 1, or at n = 2 outside
+    the float range) raises ValueError for the whole stack, as does a rho
+    too large for every element of log-norm at most rho to be unipotent
+    (unipotence_bound_holds).  The n >= 3 front end runs once per stack:
+    the entry-bound SVDs, the determinants, the cap check and the rho
+    shortcut of entries whose window is empty; the entries left over take
+    _search_radius, one conjugator at a time.  Every stacked piece, at
+    every n, is bit-identical to its one-matrix form, so an entry does
+    not depend on the rest of the stack.
     """
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
@@ -376,11 +422,26 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     n = gs.shape[1]
     if not unipotence_bound_holds(n, rp.rho):
         raise ValueError(f"rho = {rp.rho} is too large for the unipotence bound at n = {n}")
+    if n == 2:
+        # one reduction serves the finiteness and the range check
+        peak = np.abs(gs).max(initial=0.0)
+        if not math.isfinite(peak):
+            raise ValueError("conjugator entries must be finite")
+        if peak > _GAUSS_ENTRY_LIMIT:
+            raise ValueError(
+                "n = 2 conjugator entries must have modulus at most 2**510, so that "
+                "every squared length stays in the normal float range [2**-1022, 2**1024)"
+            )
+        det = np.linalg.det(gs)
+        if np.abs(det - 1.0).max(initial=0.0) > 1e-10:
+            raise ValueError("conjugator must have determinant 1")
+        shortest = _gauss_reduce_stack(gs)[4]
+        return np.minimum(rp.rho, shortest / det).tolist()
     if not np.isfinite(gs).all():
         raise ValueError("conjugator entries must be finite")
+    dets = np.linalg.det(gs).tolist()
     out = []
     search = []
-    dets = np.linalg.det(gs).tolist()
     for index, (needed, det) in enumerate(zip(_entry_bounds(gs, rp.rho), dets)):
         if abs(det - 1.0) > 1e-10:
             raise ValueError("conjugator must have determinant 1")
@@ -393,70 +454,15 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
         out.append(rp.rho)
         if needed:
             search.append(index)
-    if not search:
-        return out
-    if n == 2:
-        rows = gs[search].tolist()
-        for index, g in zip(search, rows):
-            out[index] = _gauss_radius(g, dets[index], rp.rho)
-        return out
     for index in search:
         out[index] = _search_radius(gs[index], rp.rho)
     return out
 
 
-def _gauss_radius(g, det: float, rho: float) -> float:
-    """Discreteness radius of a 2 x 2 conjugator g (rows of floats) of
-    determinant det, in closed form: min(rho, |g v|^2 / det) for the
-    shortest vector g v of the column lattice g Z^2.  Needs rho <= 0.34.
-
-    Proof.  Take gamma in SL(2,Z), gamma != I, with log(g gamma g^{-1}) = X
-    and |X|_F <= rho.  Then |tr gamma - 2| <= rho^2 e^rho / 2 < 1, so the
-    integer trace is 2 and gamma is unipotent (unipotence_bound_holds,
-    K = 1): gamma = I + m v (J v)^T with v primitive, m a nonzero integer
-    and J the quarter turn.  Since g^T J g = det(g) J, conjugation gives
-    g gamma g^{-1} = I + N with N = m (g v)(J g v)^T / det(g).  N^2 = 0, so
-    N is the exact log (_square_zero_log_norm, whose lemma is empty at
-    n = 2), of Frobenius norm |m| |g v|^2 / det(g).  The least
-    such norm takes m = 1 and the shortest lattice vector, and that element
-    lies in the lattice, so the radius is min(rho, lambda_1^2 / det g).
-    Dividing by det keeps the value a function of the conjugated lattice,
-    which scaling g does not change.
-
-    _gauss_reduce finds the shortest vector.
-    """
-    (a, _), (c, _) = _gauss_reduce(g)
-    return min(rho, (a * a + c * c) / det)
-
-
-# Iteration cap of the Lagrange-Gauss loops, scalar and stacked.
+# Iteration cap of the stacked Lagrange-Gauss pass: the 64 d^2 iterations
+# that _lll_reduce allows at d = 2, each one a size reduction and a swap
+# there; it backstops float round-off.
 _GAUSS_CAP = 256
-
-
-def _gauss_reduce(g):
-    """Lagrange-Gauss reduced basis of the column lattice g Z^2, g rows of
-    floats; returned in the same form, shortest column first.
-
-    Reduce the longer column against the shorter, swap, and stop once the
-    reduced one is no shorter.  The squared length of the shorter column
-    drops at every swap, so it terminates; a cap of 256 reductions, the
-    64 d^2 iterations that _lll_reduce allows at d = 2, each one a size
-    reduction and a swap there, backstops float round-off.
-    """
-    (a, b), (c, d) = g
-    uu = a * a + c * c
-    vv = b * b + d * d
-    if uu > vv:
-        a, b, c, d, uu = b, a, d, c, vv
-    for _ in range(_GAUSS_CAP):
-        m = round((a * b + c * d) / uu)
-        b -= m * a
-        d -= m * c
-        vv = b * b + d * d
-        if vv >= uu:
-            break
-        a, b, c, d, uu = b, a, d, c, vv
-    return [[a, b], [c, d]]
 
 
 def _search_radius(g, rho: float) -> float:
@@ -514,8 +520,8 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
         return reduced_conjugator(gs[None])[0]
     n = gs.shape[-1]
     if n == 2:
-        a, b, c, d = _gauss_reduce_stack(gs)
-        v = np.sqrt(a * a + c * c)
+        a, b, c, d, aa_cc = _gauss_reduce_stack(gs)
+        v = np.sqrt(aa_cc)
         s = np.sqrt(np.abs(a * d - b * c))
         out = np.zeros_like(gs)
         out[:, 0, 0] = v / s
@@ -531,41 +537,73 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
 
 
 def _gauss_reduce_stack(gs: np.ndarray) -> tuple:
-    """_gauss_reduce of every 2 x 2 matrix of a stack, as the four entry
-    arrays (a, b, c, d) of the reduced bases [[a, b], [c, d]].
+    """Lagrange-Gauss reduced basis of the column lattice g Z^2 of every
+    2 x 2 matrix g of a stack: the entry arrays (a, b, c, d) of the reduced
+    bases [[a, b], [c, d]], shortest column first, and a^2 + c^2, that
+    column's squared length as the pass computed it.  The arrays may be
+    views of gs.
 
-    The same operations in the same order on float arrays: np.rint rounds
-    half to even like python's round, and adding 0.0 turns its -0.0 into
-    the 0.0 of python's int 0, so every entry is bit-identical to the
-    scalar loop.  Each iteration works on the matrices still reducing
-    only; a matrix leaves once its reduced column is no shorter, and all
-    stop after _GAUSS_CAP iterations, as in the scalar loop.  One call
-    costs about twice a loop of _gauss_reduce on 16 matrices, less from 32
-    base draws or 48 walk-round matrices (at 64: 52 against 116 us, 111
-    against 173 us; shared 2-core box, numpy 2.4).  The radii keep the
-    scalar loop (_gauss_radius): about 1% of a walk block passes the rho
-    shortcut, and single-matrix calls (evanescence, thin-filter tries) use it.
+    Reduce the longer column against the shorter by the nearest integer
+    multiple, swap, and stop once the reduced column is no shorter.  The
+    squared length of the shorter column drops at every swap, so it
+    terminates; _GAUSS_CAP iterations backstop float round-off.  Each
+    matrix sees the same float operations in the same order as python's
+    one-matrix loop (tests/oracles.py::gauss_reduce): np.rint rounds half
+    to even like python's round, and adding 0.0 turns its -0.0 into the
+    0.0 of python's int 0, so every entry is bit-identical to it and does
+    not depend on the rest of the stack.
+
+    The columns are kept as two 2 x m arrays of the m matrices still
+    reducing.  An iteration in which all of them swap, or all of them
+    stop, moves no data; only when some stop and some swap are the stopped
+    ones written out and the rest compacted.  So a single matrix costs
+    about a dozen whole-array operations per iteration and no gather or
+    scatter.  The python loop is faster on small stacks: 10-24 us against
+    1-2 us on one matrix, with the crossover near 16 base draws or 64
+    walk-round products; at 256 the pass takes 15 against 165 us and 70
+    against 255 us (shared 2-core box, numpy 2.4).  discreteness_radii
+    takes the pass at every size, single matrices included, so the n = 2
+    radius has one code path; a single call costs about 20 us.
     """
-    a, b, c, d = (gs[:, i, j] for i in range(2) for j in range(2))
-    uu = a * a + c * c
-    vv = b * b + d * d
+    count = len(gs)
+    # rows a, b, c, d; the columns (a, c) and (b, d) are strided views
+    s = gs.reshape(count, 4).T
+    sq = s * s
+    uu = sq[0] + sq[2]
+    vv = sq[1] + sq[3]
+    u, v = s[::2], s[1::2]
     swap = uu > vv
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    c, d = np.where(swap, d, c), np.where(swap, c, d)
-    uu = np.where(swap, vv, uu)
-    live = np.arange(len(gs))
+    if np.count_nonzero(swap):
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        uu = np.where(swap, vv, uu)
+    out = live = None  # once some stop: the bases, and where the rest sit
     for _ in range(_GAUSS_CAP):
-        la, lb, lc, ld, lu = a[live], b[live], c[live], d[live], uu[live]
-        m = np.rint((la * lb + lc * ld) / lu) + 0.0
-        lb = lb - m * la
-        ld = ld - m * lc
-        lv = lb * lb + ld * ld
-        done = lv >= lu
-        b[live[done]] = lb[done]
-        d[live[done]] = ld[done]
-        go = ~done
-        live = live[go]
-        a[live], b[live], c[live], d[live], uu[live] = lb[go], la[go], ld[go], lc[go], lv[go]
-        if not live.size:
-            break
-    return a, b, c, d
+        uv = u * v
+        m = np.rint((uv[0] + uv[1]) / uu) + 0.0
+        r = v - m * u
+        rr = r * r
+        rv = rr[0] + rr[1]
+        go = rv < uu
+        going = np.count_nonzero(go)
+        if going < len(go):
+            if live is None:
+                if not going:
+                    return u[0], r[0], u[1], r[1], uu
+                out, live = np.empty((5, count)), np.arange(count)
+            stop, go = (~go).nonzero()[0], go.nonzero()[0]
+            at = live[stop]
+            out[:2, at] = u.take(stop, axis=1)
+            out[2:4, at] = r.take(stop, axis=1)
+            out[4, at] = uu[stop]
+            live = live[go]
+            if not live.size:
+                return out[0], out[2], out[1], out[3], out[4]
+            u, r, rv = u.take(go, axis=1), r.take(go, axis=1), rv[go]
+        u, v, uu = r, u, rv
+    # the matrices the cap stopped keep their last swap
+    if live is None:
+        return u[0], v[0], u[1], v[1], uu
+    out[:2, live] = u
+    out[2:4, live] = v
+    out[4, live] = uu
+    return out[0], out[2], out[1], out[3], out[4]

@@ -3,7 +3,9 @@
 Each one reaches its answer by a route independent of the code under test:
 exhaustive integer windows for the discreteness radius (every n = 2
 candidate, and every n = 3 one within entry window 2 with log-norms from
-scipy's logm), fraction-free elimination for integer determinants, the
+scipy's logm), the n = 2 closed form one matrix at a time in python floats
+(the scalar Lagrange-Gauss loop that the stacked pass must match bit for
+bit), fraction-free elimination for integer determinants, the
 Mercator-series matrix log, the finite log sum of every unipotent element
 (not only the square-zero ones the library confirms), minors for wedge
 norms, explicit roots for the type-A constants, and the adjoint action as
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from thinpart import slgroup
 from thinpart.grassmann import _restricted_singular_values
 from thinpart.linalg import frobenius, haar_orthogonal
 
@@ -100,6 +103,41 @@ def lattice_candidates(conjugator: np.ndarray, r: float) -> list:
                     continue
                 out.append(np.array([[a, b], [c, d]], dtype=np.int64))
     return out
+
+
+def gauss_reduce(g):
+    """Lagrange-Gauss reduced basis of the column lattice g Z^2, g rows of
+    floats; returned in the same form, shortest column first.
+
+    Reduce the longer column against the shorter, swap, and stop once the
+    reduced one is no shorter, in python floats one matrix at a time.  The
+    squared length of the shorter column drops at every swap, so it
+    terminates; it stops after slgroup._GAUSS_CAP reductions, as the
+    stacked pass does, read at call time so that a test can lower both.
+    """
+    (a, b), (c, d) = g
+    uu = a * a + c * c
+    vv = b * b + d * d
+    if uu > vv:
+        a, b, c, d, uu = b, a, d, c, vv
+    for _ in range(slgroup._GAUSS_CAP):
+        m = round((a * b + c * d) / uu)
+        b -= m * a
+        d -= m * c
+        vv = b * b + d * d
+        if vv >= uu:
+            break
+        a, b, c, d, uu = b, a, d, c, vv
+    return [[a, b], [c, d]]
+
+
+def gauss_radius(g, det: float, rho: float) -> float:
+    """min(rho, |g v|^2 / det) for the shortest vector g v of g Z^2 from
+    gauss_reduce, in python floats: the n = 2 closed form of
+    discreteness_radii, whose docstring holds the proof, one matrix at a
+    time."""
+    (a, _), (c, _) = gauss_reduce(g)
+    return min(rho, (a * a + c * c) / det)
 
 
 @functools.lru_cache(maxsize=None)

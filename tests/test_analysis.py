@@ -35,6 +35,14 @@ class TestSublevelMeasure:
         with pytest.raises(ValueError):
             sublevel_measure(_monomial(1), [0.1, -0.1], 2_000, rng)
 
+    @pytest.mark.parametrize("grid", [[], [-0.1], [0.1, 0.0], [math.nan, 0.1]])
+    def test_grid_without_positive_eps_raises_before_drawing(self, grid):
+        # refused before the first block is drawn, the empty grid included
+        rng, ref = np.random.default_rng(27), np.random.default_rng(27)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            sublevel_measure(_monomial(1), grid, 2_000, rng)
+        assert rng.random() == ref.random()
+
 
 class TestCompactGroupFit:
     def test_so2_slope_and_prefactor(self):

@@ -64,6 +64,14 @@ from thinpart.slgroup import (
 )
 
 _SMALL = ExperimentConfig(n_base_points=6, n_mc_samples=30, walk_length=300)
+# An n = 3 scale whose walk and drift steps reach entry windows of 1 to
+# about 30, so a lowered entry cap binds on some steps and not others:
+# one ray step of x0 = 0.58, rho = 0.34 x0^2 = 0.114.  p_hat = 0.95
+# balances its drift.
+_N3 = dataclasses.replace(
+    _SMALL, group_n=3, lambda_=1.75, x0=0.58, eps_grid=(1e-2, 3e-3, 1e-3)
+)
+_N3_P_HAT = 0.95
 
 # cells whose spellings a column-at-a-time render could confuse: signed
 # zeros, bool against int against float, numpy scalars, subnormals, and
@@ -540,29 +548,30 @@ class TestRunners:
         (15, 600, 0, True),
     ])
     def test_walk_cap_path_matches_stepwise_walk(self, monkeypatch, seed, length, cap, raises):
-        # with the entry cap at 0 (1), every step whose window is at least
-        # 1 (2) is an incident: the walk records None at exactly the steps
+        # the entry cap exists at n >= 3 only: on the n = 3 walk of _N3
+        # with the cap at 0 (1), every step whose window is at least 1 (2)
+        # is an incident.  The walk records None at exactly the steps
         # where the scalar radius raises, and stops with the same
-        # WalkCapError, in mid-round: at step 570 (chain 57 of the fifth
-        # round, third block) at seed 1, at step 422 (chain 37 of the
-        # fourth round, second block) at seed 15.  The lengths sit below
+        # WalkCapError, in mid-round: at step 293 (chain 36 of the third
+        # round, second block) at seed 1, at step 306 (chain 49 of the
+        # third round, second block) at seed 15.  The lengths sit below
         # one round of _WALK_CHAINS steps (100), at a block (256) and off a
         # multiple of the round (200, 600, 700); a chain's first step from
         # the identity is too tame for an incident, so only walks longer
-        # than a round have one
+        # than a round have one (3, 4 and 1 incidents at 200, 256 and 700)
         monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", cap)
-        cfg = dataclasses.replace(_SMALL, seed=seed, walk_length=length)
+        cfg = dataclasses.replace(_N3, seed=seed, walk_length=length)
         rows, error = self._stepwise_walk(cfg)
         assert (error is not None) == raises
         if raises:
             assert 0 < (error[0] - 1) % _WALK_CHAINS < _WALK_CHAINS - 1
             with pytest.raises(WalkCapError) as info:
-                run_stationary_bound(cfg, p_hat=0.88)
+                run_stationary_bound(cfg, p_hat=_N3_P_HAT)
             err = info.value
             assert (err.steps_done, err.incidents, err.required, err.cap) == error
             assert isinstance(err.__cause__, EnumerationCapError)
             return
-        rep = run_stationary_bound(cfg, p_hat=0.88)
+        rep = run_stationary_bound(cfg, p_hat=_N3_P_HAT)
         assert [(t, r) for t, r, _ in rep.samples] == rows
         nones = [t for t, r in rows if r is None]
         assert bool(nones) == (length > _WALK_CHAINS)
@@ -570,14 +579,14 @@ class TestRunners:
         assert all(not kept for t, r, kept in rep.samples if r is None)
 
     def test_drift_cap_error_is_the_first_stepwise_one(self, monkeypatch):
-        # key-inequality stacks base 0's steps and then the base itself; it
-        # raises the EnumerationCapError that scalar radii in that order meet
-        # first (windows 7 for the first step, 1 for the base at this seed)
+        # key-inequality at n = 3 stacks base 0's steps and then the base
+        # itself; it raises the EnumerationCapError that scalar radii in
+        # that order meet first (window 27 for the first step at this seed)
         monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", 0)
-        sp, rp = derive_group(_SMALL)
-        rng = np.random.default_rng([_SMALL.seed, _TAG_DRIFT_BASE, 0])
-        g = sample_base_conjugator(2, rng)
-        steps = [mu_s_draw(sp, rng) @ g for _ in range(_SMALL.n_mc_samples)]
+        sp, rp = derive_group(_N3)
+        rng = np.random.default_rng([_N3.seed, _TAG_DRIFT_BASE, 0])
+        g = sample_base_conjugator(3, rng)
+        steps = [mu_s_draw(sp, rng) @ g for _ in range(_N3.n_mc_samples)]
         required = None
         for m in steps + [g]:
             try:
@@ -586,9 +595,23 @@ class TestRunners:
                 required = exc.required
                 break
         with pytest.raises(EnumerationCapError) as info:
-            run_key_inequality(_SMALL, p_hat=0.88)
-        assert required is not None
+            run_key_inequality(_N3, p_hat=_N3_P_HAT)
+        assert required == 27
         assert (info.value.required, info.value.cap) == (required, 0)
+
+    def test_n2_walk_and_drift_have_no_entry_cap(self, monkeypatch):
+        # the n = 2 forms of the two tests above: the closed-form radius
+        # has no entry window, so with the cap at 0 the walk has no
+        # incident and the walk and key-inequality keep their bytes
+        cfg = dataclasses.replace(_SMALL, walk_length=700)
+        want = [run_stationary_bound(cfg, p_hat=0.88), run_key_inequality(_SMALL, p_hat=0.88)]
+        monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", 0)
+        got = [run_stationary_bound(cfg, p_hat=0.88), run_key_inequality(_SMALL, p_hat=0.88)]
+        assert got[0].summary["cap_incidents"] == 0
+        assert all(r is not None for _, r, _ in got[0].samples)
+        for a, b in zip(got, want):
+            assert render_report_json(a) == render_report_json(b)
+            assert render_samples_csv(a) == render_samples_csv(b)
 
 
 class TestDeterminism:

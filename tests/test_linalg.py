@@ -171,18 +171,47 @@ class TestHaar:
     def test_stacked_rotations_match_single_draws(self, n):
         # a stack of Gaussians gives, bit for bit, the rotation each one
         # gives alone, both through haar_orthogonal and through the plain
-        # per-matrix recipe (QR, R-diagonal signs, last column flipped on
-        # det -1); the stream is one n x n draw per rotation
+        # per-matrix recipe; the stream is one n x n draw per rotation, so
+        # the generator ends where a draw of the same normals leaves it.
+        # At n >= 3 (and n = 1) the recipe is QR, R-diagonal signs, last
+        # column flipped on det -1; n = 2 takes its closed form
+        # [[a, -c], [c, a]] / hypot(a, c) of the first column (a, c)
         stacked = haar_rotations(
             np.stack([_rng(8000 + case).standard_normal((n, n)) for case in range(200)])
         )
         for case in range(200):
-            assert np.array_equal(stacked[case], haar_orthogonal(n, _rng(8000 + case)))
-            q, r = np.linalg.qr(_rng(8000 + case).standard_normal((n, n)))
-            q = q * np.sign(np.diag(r))
-            if np.linalg.det(q) < 0:
-                q[:, -1] = -q[:, -1]
+            rng, drawn = _rng(8000 + case), _rng(8000 + case)
+            assert np.array_equal(stacked[case], haar_orthogonal(n, rng))
+            z = drawn.standard_normal((n, n))
+            assert rng.bit_generator.state == drawn.bit_generator.state
+            if n == 2:
+                (a, _), (c, _) = z
+                h = np.hypot(a, c)
+                q = np.array([[a / h, -c / h], [c / h, a / h]])
+            else:
+                q = _qr_rotation(z)
             assert np.array_equal(stacked[case], q)
+        if n != 2:
+            return
+        # the n = 2 closed form and the QR recipe are the same matrix in
+        # exact arithmetic; in floats they agree within 4 ulp of 1.0 (the
+        # entries of a rotation lie in [-1, 1]) on 10^4 draws, and the
+        # closed form is a rotation to round-off
+        z = _rng(8200).standard_normal((10_000, 2, 2))
+        got = haar_rotations(z)
+        want = np.stack([_qr_rotation(m) for m in z])
+        assert np.abs(got - want).max() <= 4 * np.spacing(1.0)
+        assert np.abs(got @ got.transpose(0, 2, 1) - np.eye(2)).max() <= 4 * np.spacing(1.0)
+        assert np.abs(np.linalg.det(got) - 1.0).max() <= 4 * np.spacing(1.0)
+
+
+def _qr_rotation(z):
+    # the QR recipe for one Gaussian matrix
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q
 
 
 class TestNormsAndSubspace:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from oracles import (
     diagonal_ad_norm,
     entry_window,
     expansion_probability_quadrature,
+    gauss_radius,
+    gauss_reduce,
     int_det,
     lattice_candidates,
     mat_log,
@@ -36,8 +39,6 @@ from thinpart.slgroup import (
     RadiusParams,
     ZASSENHAUS_RADIUS,
     _entry_bounds,
-    _gauss_radius,
-    _gauss_reduce,
     _gauss_reduce_stack,
     _lll_reduce,
     _search_ball,
@@ -202,11 +203,22 @@ class TestCandidateEnumeration:
             lattice_candidates(np.eye(2), -0.1)
 
     def test_cap_error_carries_requirement(self):
-        # cond(g) = 1e8 asks for a window of about 4.8e6 at the loose rho
-        g = np.diag([1e-4, 1e4])
+        # cond(g) = 1e8 asks for a window of about 4.8e6 at the loose rho;
+        # the cap exists at n >= 3 only
+        g = np.diag([1e-4, 1.0, 1e4])
         with pytest.raises(EnumerationCapError) as info:
             model_radius(g, _LOOSE_RP)
+        assert info.value.required == _entry_bounds(g[None], _LOOSE_RP.rho)[0]
         assert info.value.required > info.value.cap == DEFAULT_ENTRY_CAP
+
+    def test_n2_has_no_entry_cap(self):
+        # the n = 2 form of the window above: the closed form gives the
+        # radius lambda_1^2 = 1e-8 of the cusp point, with no window
+        g = np.diag([1e-4, 1e4])
+        assert _entry_bounds(g[None], _LOOSE_RP.rho)[0] > DEFAULT_ENTRY_CAP
+        got = model_radius(g, _LOOSE_RP)
+        assert got == gauss_radius(g.tolist(), float(np.linalg.det(g)), _LOOSE_RP.rho)
+        assert got == pytest.approx(1e-8, rel=1e-15)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -547,7 +559,7 @@ class TestExactExpansionProbability:
             if r > rp.rho / 2:
                 continue
             thin += 1
-            (a, _), (c, _) = _gauss_reduce(g.tolist())
+            (a, _), (c, _) = gauss_reduce(g.tolist())
             for phi in angles:
                 k = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
                 x, y = k @ [a, c]
@@ -647,14 +659,21 @@ class TestStacked:
         assert got[0] == rp.rho
         assert 20 <= sum(r < rp.rho for r in got) < len(got)
 
-    def test_stacked_cap_entry_carries_requirement(self):
-        # cond(g) = 1e8 and a rotated cond 1e10 are over the cap at the
-        # loose rho; their neighbours are not
-        wide = [
-            np.diag([1e-4, 1e4]),
-            haar_orthogonal(2, np.random.default_rng(48)) @ np.diag([1e-5, 1e5]),
+    @staticmethod
+    def _wide(n):
+        # cond 1e8 and a rotated cond 1e10: over the cap at the loose rho
+        # at n = 3, and plain radii at n = 2
+        mid = [1.0] * (n - 2)
+        return [
+            np.diag([1e-4, *mid, 1e4]),
+            haar_orthogonal(n, np.random.default_rng(48)) @ np.diag([1e-5, *mid, 1e5]),
         ]
-        stack = [np.diag([0.1, 10.0]), wide[0], np.eye(2), wide[1]]
+
+    def test_stacked_cap_entry_carries_requirement(self):
+        # n = 3: the wide entries hold their cap errors and their
+        # neighbours, one searched and one at the rho shortcut, do not
+        wide = self._wide(3)
+        stack = [np.diag([0.1, 1.0, 10.0]), wide[0], np.eye(3), wide[1]]
         got = discreteness_radii(np.stack(stack), _LOOSE_RP)
         for i, g in ((1, wide[0]), (3, wide[1])):
             with pytest.raises(EnumerationCapError) as info:
@@ -663,19 +682,31 @@ class TestStacked:
             assert (got[i].required, got[i].cap) == (info.value.required, DEFAULT_ENTRY_CAP)
         assert got[1].required < got[3].required
         assert got[0] == model_radius(stack[0], _LOOSE_RP) < _LOOSE_RP.rho
+        assert got[0] == pytest.approx(0.01, rel=1e-12)
+        assert got[2] == _LOOSE_RP.rho
+
+    def test_n2_wide_entries_get_radii(self):
+        # the n = 2 form of the stack above: every entry is a radius, the
+        # one-matrix value and the oracle's, bit for bit
+        wide = self._wide(2)
+        stack = np.stack([np.diag([0.1, 10.0]), wide[0], np.eye(2), wide[1]])
+        got = discreteness_radii(stack, _LOOSE_RP)
+        assert got == [model_radius(g, _LOOSE_RP) for g in stack]
+        assert got == [
+            gauss_radius(g.tolist(), float(np.linalg.det(g)), _LOOSE_RP.rho) for g in stack
+        ]
+        assert got[1] == pytest.approx(1e-8, rel=1e-12)
+        assert got[3] == pytest.approx(1e-10, rel=1e-9)
         assert got[2] == _LOOSE_RP.rho
 
     def test_model_radius_raises_the_first_capped_entry(self):
-        # two over-cap entries with different windows: a stack raises the
-        # one that comes first, whichever order they come in
-        wide = [
-            np.diag([1e-4, 1e4]),
-            haar_orthogonal(2, np.random.default_rng(48)) @ np.diag([1e-5, 1e5]),
-        ]
+        # two over-cap entries at n = 3 with different windows: a stack
+        # raises the one that comes first, whichever order they come in
+        wide = self._wide(3)
         required = [discreteness_radii(w[None], _LOOSE_RP)[0].required for w in wide]
         assert required[0] < required[1]
         for first, second in ((0, 1), (1, 0)):
-            stack = np.stack([np.diag([0.1, 10.0]), wide[first], np.eye(2), wide[second]])
+            stack = np.stack([np.diag([0.1, 1.0, 10.0]), wide[first], np.eye(3), wide[second]])
             with pytest.raises(EnumerationCapError) as info:
                 model_radius(stack, _LOOSE_RP)
             assert (info.value.required, info.value.cap) == (required[first], DEFAULT_ENTRY_CAP)
@@ -701,28 +732,41 @@ class TestStacked:
             assert model_radius(g[None], rp) == [single]
 
     def test_window_past_the_float_range_is_capped(self):
-        # cond 1e320 overflows the float window; it is still an int, and a
-        # finite window keeps its float value
+        # n = 3: cond 1e320 overflows the float window; it is still an int,
+        # and a finite window keeps its float value
         rho = _LOOSE_RP.rho
-        g = np.diag([1e150, 1e-150])
+        g = np.diag([1e150, 1.0, 1e-150])
         largest, *_, smallest = np.linalg.svd(g, compute_uv=False).tolist()
         (finite,) = discreteness_radii(g[None], _LOOSE_RP)
         assert finite.required == math.floor(largest / smallest * rho * math.exp(rho) + 0.5)
-        (past,) = discreteness_radii(np.diag([1e160, 1e-160])[None], _LOOSE_RP)
+        (past,) = discreteness_radii(np.diag([1e160, 1.0, 1e-160])[None], _LOOSE_RP)
         assert isinstance(past, EnumerationCapError)
         assert type(past.required) is int and 10**318 < past.required < 10**319
         assert past.cap == DEFAULT_ENTRY_CAP
         with pytest.raises(EnumerationCapError):
-            model_radius(np.diag([1e-160, 1e160]), _LOOSE_RP)
-        assert _entry_bounds(np.diag([1e160, 1e-160])[None], 0.0) == [0]
+            model_radius(np.diag([1e-160, 1.0, 1e160]), _LOOSE_RP)
+        assert _entry_bounds(np.diag([1e160, 1.0, 1e-160])[None], 0.0) == [0]
+
+    def test_n2_past_the_float_range_is_refused(self):
+        # the n = 2 forms of the two windows above: 1e150 is inside the
+        # 2**510 entry range and gets its radius 1e-300; 1e160 is outside
+        # and raises, naming the range
+        (got,) = discreteness_radii(np.diag([1e150, 1e-150])[None], _LOOSE_RP)
+        assert got == pytest.approx(1e-300, rel=1e-12)
+        for g in (np.diag([1e160, 1e-160]), np.diag([1e-160, 1e160])):
+            with pytest.raises(ValueError, match=r"2\*\*510"):
+                model_radius(g, _LOOSE_RP)
 
     def test_stacked_rejects_determinant_off_one(self):
         stack = np.stack([np.eye(2), np.diag([2.0, 1.0]), np.diag([0.1, 10.0])])
         with pytest.raises(ValueError, match="determinant 1"):
             discreteness_radii(stack, _LOOSE_RP)
-        # the determinant is checked before the entry cap
+        # the determinant is checked before the entry cap, which at n = 3
+        # this matrix would exceed
         with pytest.raises(ValueError, match="determinant 1"):
             discreteness_radii(np.diag([1e-4, 2e4])[None], RadiusParams(rho=0.3))
+        with pytest.raises(ValueError, match="determinant 1"):
+            discreteness_radii(np.diag([1e-4, 1.0, 2e4])[None], RadiusParams(rho=0.3))
 
     def test_stacked_rejects_bad_shapes(self):
         for gs in (np.eye(2), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan)):
@@ -732,23 +776,26 @@ class TestStacked:
 
 class TestStackedReduction:
     """The stacked reduced_conjugator equals its one-matrix forms bit for
-    bit, signed zeros included: at n = 2 the masked Lagrange-Gauss pass
-    against the scalar _gauss_reduce, at n >= 3 against one call per
-    matrix."""
+    bit, signed zeros included: at n = 2 the stacked Lagrange-Gauss pass
+    against the python loop of tests/oracles.py, at n >= 3 against one
+    call per matrix."""
 
     @staticmethod
     def _scalar_gauss(gs):
-        return np.array([_gauss_reduce(g.tolist()) for g in gs])
+        return np.array([gauss_reduce(g.tolist()) for g in gs])
 
     @staticmethod
     def _stacked_gauss(gs):
-        a, b, c, d = _gauss_reduce_stack(np.asarray(gs, dtype=float))
+        # the reduced bases, after checking the squared length of each
+        # first column that the pass hands back with them
+        a, b, c, d, aa_cc = _gauss_reduce_stack(np.asarray(gs, dtype=float))
+        assert aa_cc.tobytes() == (a * a + c * c).tobytes()
         return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
     @staticmethod
     def _scalar_triangle(g):
-        # the n = 2 triangle built in python floats from _gauss_reduce
-        (a, b), (c, d) = _gauss_reduce(g.tolist())
+        # the n = 2 triangle built in python floats from gauss_reduce
+        (a, b), (c, d) = gauss_reduce(g.tolist())
         v = math.sqrt(a * a + c * c)
         s = math.sqrt(abs(a * d - b * c))
         return np.array([[v / s, (a * b + c * d) / (v * s)], [0.0, s / v]])
@@ -820,6 +867,92 @@ class TestStackedReduction:
             assert not np.tril(r, -1).any() and (np.diag(r) > 0.0).all()
 
 
+@functools.lru_cache(maxsize=None)
+def _closed_form_pools():
+    """256 n = 2 conjugators of each shape the runners hand the radius:
+    walk blocks, drift stacks, base draws, cusp diagonals, and rotated
+    near-isometries whose entry window at the default rho is empty (the
+    entries the n >= 3 front end's rho shortcut would settle)."""
+    sp, rho = _DEFAULT_SP, _DEFAULT_RP.rho
+    rng = np.random.default_rng(60)
+    chains = np.broadcast_to(np.eye(2), (128, 2, 2))
+    walk = []
+    for _ in range(6):
+        chains = reduced_conjugator(mu_s_draws(sp, rng, 128) @ chains)
+        walk.append(chains)
+    g = sample_base_conjugator(2, rng)
+    drift = np.concatenate([mu_s_draws(sp, rng, 255) @ g, g[None]])
+    bases = np.stack([sample_base_conjugator(2, rng) for _ in range(256)])
+    ys = np.geomspace(1.0, 3000.0 / rho, 256)
+    cusp = np.stack([np.diag([y**-0.5, y**0.5]) for y in ys])
+    stretch = np.exp(rng.uniform(0.0, 2.0, 256))
+    shortcut = np.stack([
+        haar_orthogonal(2, rng) @ np.diag([1.0 / t, t]) @ haar_orthogonal(2, rng)
+        for t in stretch
+    ])
+    pools = {"walk": np.concatenate(walk[-2:]), "drift": drift, "base": bases,
+             "cusp": cusp, "shortcut": shortcut}
+    pools["mixed"] = np.stack([m for group in zip(*pools.values()) for m in group][:256])
+    return pools
+
+
+class TestClosedForm:
+    """The n = 2 radius, one stacked Lagrange-Gauss pass, against the
+    python loop of tests/oracles.py::gauss_radius, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 15, 16, 256])
+    @pytest.mark.parametrize("kind", ["walk", "drift", "base", "cusp", "shortcut", "mixed"])
+    def test_stack_matches_oracle(self, kind, size):
+        stack = _closed_form_pools()[kind][:size]
+        got = {}
+        for rp in (_DEFAULT_RP, _LOOSE_RP):
+            got[rp.rho] = discreteness_radii(stack, rp)
+            want = [gauss_radius(g.tolist(), float(np.linalg.det(g)), rp.rho) for g in stack]
+            assert all(type(r) is float for r in got[rp.rho])
+            assert np.array(got[rp.rho]).tobytes() == np.array(want).tobytes()
+        if kind == "shortcut":
+            # an empty window means cond rho e^rho < 1/2, so lambda_1^2 / det
+            # >= 1/cond > rho and the min gives rho exactly
+            rho = _DEFAULT_RP.rho
+            assert _entry_bounds(stack, rho) == [0] * size
+            assert got[rho] == [rho] * size
+        elif size == 256:
+            assert 0 < sum(r < _LOOSE_RP.rho for r in got[_LOOSE_RP.rho])
+
+    def test_float_range_refusal_on_both_sides(self):
+        # entries of modulus up to 2**510 get their radius with no numpy
+        # warning or float error; one float past it refuses the stack,
+        # naming the range, and never reaches inf or nan
+        edge = 2.0**510
+        past = np.nextafter(edge, np.inf)
+        k = haar_orthogonal(2, np.random.default_rng(61))
+        inside = np.stack([
+            np.diag([edge, 1.0 / edge]),
+            np.diag([1.0 / edge, edge]),
+            np.array([[1.0, edge], [0.0, 1.0]]),
+            np.array([[1.0, 0.0], [-edge, 1.0]]),
+            k @ np.diag([2.0**509, 2.0**-509]),
+        ])
+        outside = [
+            np.diag([past, 1.0 / past]),
+            np.diag([1.0 / past, past]),
+            np.array([[1.0, -2.0 * edge], [0.0, 1.0]]),
+            np.diag([2.0**-520, 2.0**520]),
+        ]
+        rp = _LOOSE_RP
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = discreteness_radii(inside, rp)
+            want = [gauss_radius(g.tolist(), float(np.linalg.det(g)), rp.rho) for g in inside]
+            assert got == want
+            assert got[0] == got[1] == 2.0**-1020 and got[2] == got[3] == rp.rho
+            assert got[4] == pytest.approx(2.0**-1018, rel=1e-12)
+            for g in outside:
+                for stack in (g[None], np.stack([np.eye(2), g])):
+                    with pytest.raises(ValueError, match=r"2\*\*510.*normal float range"):
+                        discreteness_radii(stack, rp)
+
+
 class TestGaussOracle:
     """n = 2 closed form min(rho, lambda_1(g Z^2)^2) against the general
     search kernel, which stays as its oracle."""
@@ -844,9 +977,9 @@ class TestGaussOracle:
             assert abs(stacked / want - 1.0) <= 1e-9
 
     def test_oracle_on_the_cusp_ray_and_identity(self):
-        assert _gauss_radius(np.eye(2).tolist(), 1.0, 0.3) == 0.3
+        assert gauss_radius(np.eye(2).tolist(), 1.0, 0.3) == 0.3
         for y in (10.0, 1e3, 1e5):
             g = np.diag([y**-0.5, y**0.5])
-            assert _gauss_radius(g.tolist(), 1.0, 0.3) == pytest.approx(1.0 / y, rel=1e-15)
+            assert gauss_radius(g.tolist(), 1.0, 0.3) == pytest.approx(1.0 / y, rel=1e-15)
             rp = RadiusParams(rho=0.3)
             assert model_radius(g, rp) == pytest.approx(1.0 / y, rel=1e-15)
