@@ -3,7 +3,6 @@
 from .config import ConfigError, ExperimentConfig, derive_group, load_config
 from .experiments import (
     InsufficientDataError,
-    WalkCapError,
     run_constants,
     run_evanescence,
     run_expansion_probability,
@@ -21,7 +20,6 @@ __all__ = [
     "ExperimentReport",
     "InsufficientDataError",
     "Verdict",
-    "WalkCapError",
     "derive_group",
     "load_config",
     "write_report",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,23 +22,8 @@ from .rootdata import group_constants
 # every n <= 5.
 ZASSENHAUS_RADIUS = 0.34
 
-# Ceiling on the integer entry window a radius search may request.
-DEFAULT_ENTRY_CAP = 1_000_000
-
-
 class DegenerateRayError(ValueError):
     """The requested scale sits below one step of the ray (n0 would be 0)."""
-
-
-class EnumerationCapError(RuntimeError):
-    """Candidate enumeration would exceed the configured entry window."""
-
-    def __init__(self, required: int, cap: int):
-        self.required = int(required)
-        self.cap = int(cap)
-        super().__init__(
-            f"enumeration needs integer entry bound {self.required}, cap is {self.cap}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,35 +170,6 @@ def exact_expansion_probability(sp: SemisimpleParams, factor: float) -> float:
     return 1.0 - 2.0 / math.pi * math.asin(math.sqrt((factor - 1 / a) / (a - 1 / a)))
 
 
-def _entry_bounds(gs: np.ndarray, r: float) -> list:
-    """For each matrix g of the stack gs, an integer entry window that
-    provably contains every lattice element of log-norm at most r.
-
-    For M = exp(X) the series M - I = sum_k X^k / k! gives
-    |M - I|_F <= |X|_F e^{|X|_2} <= r e^r.  Undoing the conjugation,
-    gamma - I = g^{-1} (M - I) g, stretches Frobenius norms by at most
-    cond_2(g).  Entries of an integer matrix are bounded by its Frobenius
-    norm, so |gamma_ij - delta_ij| <= cond_2(g) r e^r =: x, and an integer
-    below x is at most floor(x).  The half unit added before flooring
-    absorbs the case where x lands a round-off below a whole number.
-    One stacked SVD, then python floats, which round exactly as numpy's do.
-    A window past the float range (cond_2(g) above about 1.8e308) is
-    floored in exact rational arithmetic, so it is still a python int.
-    """
-    if r < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    growth = math.exp(r)
-    bounds = []
-    for largest, smallest in np.linalg.svd(gs, compute_uv=False)[:, [0, -1]].tolist():
-        if smallest <= 0.0:
-            raise ValueError("conjugator must be invertible")
-        x = largest / smallest * r * growth + 0.5
-        if not math.isfinite(x):  # inf, or nan when r = 0
-            x = Fraction(largest) / Fraction(smallest) * Fraction(r * growth) + Fraction(1, 2)
-        bounds.append(math.floor(x))
-    return bounds
-
-
 # Lovasz constant of the LLL exchange test.
 _LLL_DELTA = 0.75
 
@@ -222,9 +177,11 @@ _LLL_DELTA = 0.75
 def _lll_reduce(basis: np.ndarray):
     """Column LLL reduction in floating point.
 
-    Returns the integer transform u, of determinant +-1; the reduced
-    basis is basis @ u, which callers rebuild from the exact u.  One QR
-    gives the initial Gram-Schmidt coefficients mu and squared lengths
+    Returns (u, rows): the integer transform u, of determinant +-1, and
+    the rows of the positive-diagonal QR triangle of the reduced basis
+    basis @ u, read off the final Gram-Schmidt data (entry (j, i) is
+    mu_ij |b*_j|), so a ball search needs no second QR.  One QR gives the
+    initial Gram-Schmidt coefficients mu and squared lengths
     |b*|^2; size reductions and swaps then update both in place (swap
     formulas of Cohen, A Course in Computational Algebraic Number Theory,
     Algorithm 2.6.3), and every decision reads only those, so no float
@@ -233,10 +190,11 @@ def _lll_reduce(basis: np.ndarray):
     round-off in the swap decisions is harmless; an iteration cap
     backstops termination.
     """
-    r = np.linalg.qr(np.asarray(basis, dtype=float), mode="r").tolist()
-    d = len(r)
-    mu = [[r[j][i] / r[j][j] for j in range(i)] for i in range(d)]
-    star = [r[j][j] * r[j][j] for j in range(d)]
+    # the raw factor holds the QR triangle transposed: r_ji = h[i][j]
+    h = np.linalg.qr(np.asarray(basis, dtype=float), mode="raw")[0].tolist()
+    d = len(h)
+    mu = [[h[i][j] / h[j][j] for j in range(i)] for i in range(d)]
+    star = [h[j][j] * h[j][j] for j in range(d)]
     # u holds the columns
     u = [[int(i == j) for i in range(d)] for j in range(d)]
     k = 1
@@ -269,19 +227,21 @@ def _lll_reduce(basis: np.ndarray):
             mi[k] = mi[k - 1] - m * t
             mi[k - 1] = t + m_new * mi[k]
         k = max(k - 1, 1)
-    return np.array(u, dtype=np.int64).T
+    norms = [math.sqrt(x) for x in star]
+    rows = [[0.0] * j + [norms[j]] + [mu[i][j] * norms[j] for i in range(j + 1, d)]
+            for j in range(d)]
+    return np.array(u, dtype=np.int64).T, rows
 
 
-def _padded_radius(r: float) -> float:
-    # |X|_F <= r gives |e^X - I|_F <= r e^r; the inflation covers the
-    # round-off of the triangular search
-    return r * math.exp(r) * (1.0 + 1e-9) + 1e-12
+def _padded(r: float) -> float:
+    # the relative padding of every pair-search ball (discreteness_radii)
+    return r * (1.0 + 1e-9)
 
 
-def _search_ball(rmat: np.ndarray, radius: float, confirm) -> None:
-    """Hand every nonzero integer vector y with |rmat y| <= radius to
-    confirm, as a tuple of ints; rmat is upper triangular with nonzero
-    diagonal.
+def _search_ball(r: list, radius: float, confirm) -> None:
+    """Hand every nonzero integer vector y with |r y| <= radius to
+    confirm, as a tuple of ints; r is an upper triangle with nonzero
+    diagonal, as a list of rows.
 
     Depth-first search from the last coordinate down.  Each level visits
     integers in order of their distance from the level's centre
@@ -290,7 +250,6 @@ def _search_ball(rmat: np.ndarray, radius: float, confirm) -> None:
     confirm(y) returns a radius below the current one, the ball shrinks
     to it for the rest of the search.
     """
-    r = rmat.tolist()
     d = len(r)
     y = [0] * d
     limit = radius * radius + 1e-12
@@ -322,24 +281,6 @@ def _search_ball(rmat: np.ndarray, radius: float, confirm) -> None:
     descend(d - 1, 0.0, [0.0] * d)
 
 
-def _square_zero_log_norm(g, g_inv, c):
-    """|g c g^{-1}|_F for gamma = I + c, c an integer matrix with c^2 = 0
-    (tested in python ints, which cannot overflow): N = g c g^{-1} squares
-    to zero too, so it is the exact log.  None when c^2 != 0.
-
-    Lemma: the minimiser is square-zero.  Take g gamma g^{-1} = I + N = e^X
-    with |X|_F <= rho <= 0.34; c is nilpotent (unipotence_bound_holds).
-    If c^2 != 0, let k >= 2 be the largest power with c^k != 0.  Then
-    I + c^k lies in SL(n,Z) with (c^k)^2 = 0, its exact log is N^k, and
-    as |N|_F <= e^{|X|} - 1 < 1, |N^k|_F <= |N|_F^2 <= 0.49 |X|: shorter.
-    """
-    rows = c.tolist()
-    columns = list(zip(*rows))
-    if any(sum(a * b for a, b in zip(row, col)) for row in rows for col in columns):
-        return None
-    return frobenius(g @ c @ g_inv)
-
-
 # Largest entry modulus of an n = 2 conjugator (discreteness_radii): 2^510,
 # about 3.4e153, keeps every squared length of the Lagrange-Gauss pass in
 # the normal float range.
@@ -357,22 +298,15 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     K = 1): gamma = I + m v (J v)^T with v primitive, m a nonzero integer
     and J the quarter turn.  Since g^T J g = det(g) J, conjugation gives
     g gamma g^{-1} = I + N with N = m (g v)(J g v)^T / det(g).  N^2 = 0, so
-    N is the exact log (_square_zero_log_norm, whose lemma is empty at
-    n = 2), of Frobenius norm |m| |g v|^2 / det(g).  The least such norm
-    takes m = 1 and the shortest lattice vector, and that element lies in
-    the lattice, so the radius is min(rho, lambda_1^2 / det g).  Dividing
-    by det keeps the value a function of the conjugated lattice, which
-    scaling g does not change.  One Lagrange-Gauss pass over the whole
-    stack (_gauss_reduce_stack) gives the shortest column (a, c), and each
-    entry is min(rho, (a^2 + c^2) / det) in that order of operations; no
-    entry window, cap or search runs at n = 2.
-
-    This equals the rho that the n >= 3 front end's shortcut gives
-    wherever that shortcut would fire at n = 2, cond_2(g) rho e^rho < 1/2
-    (an empty entry window, _entry_bounds): every nonzero integer v has
-    |g v| >= sigma_min, so lambda_1^2 / det >= sigma_min^2 / (sigma_min
-    sigma_max) = 1 / cond_2(g) > 2 rho e^rho > rho, a factor above 2 that
-    round-off cannot close, and the min returns rho exactly.
+    N is the exact log, of Frobenius norm |m| |g v|^2 / det(g).  The
+    least such norm takes m = 1 and the shortest lattice vector, and that
+    element lies in the lattice, so the radius is
+    min(rho, lambda_1^2 / det g).  Dividing by det keeps the value a
+    function of the conjugated lattice, which scaling g does not change.
+    One Lagrange-Gauss pass over the whole stack (_gauss_reduce_stack)
+    gives the shortest column (a, c), and each entry is
+    min(rho, (a^2 + c^2) / det) in that order of operations; no search
+    runs at n = 2.
 
     The n = 2 float range.  Every entry must have modulus at most 2^510
     (_GAUSS_ENTRY_LIMIT); any other entry raises ValueError for the
@@ -390,31 +324,75 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     numpy does not warn about that, and python floats round it the same
     way, so the bits still match the one-matrix loop.
 
-    n >= 3 searches: gamma = I + C qualifies only if
-    |g C g^{-1}|_F <= rho e^rho, i.e. the row-stacked vector of C is an
-    integer point of the lattice spanned by kron(g, g^{-T}) inside that
-    ball.  The ball is searched completely (LLL-reduced basis, then a
-    triangular search), so no qualifying element can be missed; a small
-    inflation of the radius covers search round-off.  A hit I + C counts
-    only if C^2 = 0, with log-norm |g C g^{-1}|_F: all log-norms up to rho
-    are unipotent (unipotence_bound_holds) and the least is square-zero
-    (_square_zero_log_norm).  Each confirmed hit of log-norm v below
-    the best so far shrinks the ball to the padded v e^v: every element
-    of log-norm at most v still lies inside, so the minimiser is still
-    found and the result is the same as over the full ball.
+    Square-zero lemma (every n).  Take g gamma g^{-1} = I + N = e^X with
+    |X|_F <= rho and gamma = I + C; C is nilpotent
+    (unipotence_bound_holds).  If C^2 != 0, let k >= 2 be the largest
+    power with C^k != 0: I + C^k lies in SL(n,Z), its exact log is N^k,
+    and as |N|_F <= e^{|X|} - 1 < 1, |N^k|_F <= |N|_F^2 <= 0.49 |X|_F.
+    So the minimiser has C^2 = 0, hence N^2 = 0 and log-norm |N|_F.
 
-    At n >= 3, an entry whose entry window (_entry_bounds) exceeds
-    DEFAULT_ENTRY_CAP holds its EnumerationCapError in place of a radius,
-    so a caller can tolerate such entries one at a time.  An invalid entry
-    (not finite, not invertible, determinant off 1, or at n = 2 outside
-    the float range) raises ValueError for the whole stack, as does a rho
-    too large for every element of log-norm at most rho to be unipotent
-    (unipotence_bound_holds).  The n >= 3 front end runs once per stack:
-    the entry-bound SVDs, the determinants, the cap check and the rho
-    shortcut of entries whose window is empty; the entries left over take
-    _search_radius, one conjugator at a time.  Every stacked piece, at
-    every n, is bit-identical to its one-matrix form, so an entry does
-    not depend on the rest of the stack.
+    Rank-one lemma (every n).  Take C in M_n(Z) with C^2 = 0 and rank k,
+    N = g C g^{-1}, and integer bases V of im C cap Z^n and W of
+    row C cap Z^n.  Then C = V Z W^T with Z an integer, nonsingular k x k
+    matrix, and W^T V = 0, as row C = (ker C)^perp and im C lies in
+    ker C.  With R_A and R_B the QR triangles of g V and g^{-T} W,
+    |N|_F = |R_A Z R_B^T|_F >= sqrt(k) |det(R_A Z R_B^T)|^(1/k)
+    >= sqrt(k) (covol(g V Z^k) covol(g^{-T} W Z^k))^(1/k).  Hermite's
+    bound then gives primitive v in V Z^k and w in W Z^k with
+    |g v| |g^{-T} w| <= (gamma_k / sqrt(k)) |N|_F, where gamma_1 = 1,
+    gamma_2 / sqrt(2) = 0.816 and gamma_k < sqrt(k) throughout.  As
+    w . v = 0, I + v w^T lies in SL(n,Z) and is square-zero, of log-norm
+    |g v w^T g^{-1}|_F = |g v| |g^{-T} w|: a rank-one element is never
+    longer.  With both lemmas, at every n,
+        r(g) = min(rho, min over primitive v, w with w . v = 0 of
+                   |g v| |g^{-T} w|);
+    at n = 2, w = J v and this is the closed form above.
+
+    The n >= 3 search.  As |v|, |w| >= 1, every pair has
+    |g v| |g^{-T} w| >= sigma_min / sigma_max = 1 / cond_2(g).  So one
+    stacked SVD gives rho to every entry with
+    sigma_min > (2 rho + 2^-40) sigma_max.  That margin covers the SVD's
+    round-off: LAPACK's singular values are exact for g + E with
+    |E|_2 <= p(n) u sigma_max, and p(n) u < 2^-41 at these n, so by Weyl
+    the exact ratio exceeds 2 rho (1 - 2^-41) + 2^-41 > rho for every rho.
+    Each other entry takes _pair_radius: lambda* = lambda_1(g^{-T} Z^n)
+    (_lll_reduce, _search_ball); a shrinking ball search over the
+    LLL-reduced g Z^n of radius padded(best) / lambda*, which holds every
+    v of a pair below best; for each primitive v met (one of +-v), an
+    integer basis of v^perp cap Z^n (_orthogonal_basis) and a ball search
+    over the LLL-reduced g^{-T} (v^perp cap Z^n) of radius
+    padded(best) / |g v|.  A pair scores
+    frobenius(g @ np.outer(v, w) @ g_inv), the expression with which the
+    earlier n^2-dimensional search confirmed a hit, so radii keep its
+    bits; best starts at rho, and a lower score shrinks both balls.  The
+    paddings, named here and not derived (ROADMAP item 5): the 2 and the
+    2^-40 of the shortcut, the relative 1e-9 of every ball radius
+    (_padded), for the round-off of the triangles, |g v|, lambda* and the
+    score, and the 1e-12 that _search_ball adds to each squared radius.
+
+    The n >= 3 float range.  Every entry of g and of g^{-1} must have
+    modulus at most L = 2^26.  Then sigma(g) and sigma(g^{-T}) lie in
+    [1 / (n L), n L], which is within [2^-30, 2^30] for n <= 16.  So
+    every nonzero lattice vector is at least 2^-30 long, and every
+    product and radius at least 2^-60; balls have radius at most
+    0.35 n L; integer vectors in the balls have
+    |v| |w| <= |g^{-1}|_2 |g|_2 padded(rho) and LLL transforms entries at
+    most (n L)^2 (a size-reduced column is at most n L long), both below
+    2^63; and a score's intermediate entries are at most (n L)^4.  So
+    every length, product, radius and score, and every square of one,
+    lies in [2^-120, 2^240], inside the normal floats, and numpy warns
+    about nothing.  The triangles of g and g^{-T} stay in [2^-30, 2^30]:
+    Gram-Schmidt lengths lie between a basis's extreme singular values,
+    and LLL keeps them between their first extremes.  The basis B of
+    v^perp cap Z^n stays in python ints, and the triangle of g^{-T} B stays
+    above 2^-30 / prod |b_i| (integer Gram determinants are at least 1).
+
+    An invalid entry (not finite, determinant off 1, or outside its
+    float range) raises ValueError for the whole stack, as does a rho too
+    large for every element of log-norm at most rho to be unipotent
+    (unipotence_bound_holds).  Every stacked piece is bit-identical to
+    its one-matrix form, so an entry does not depend on the rest of the
+    stack.
     """
     gs = np.asarray(conjugators, dtype=float)
     if gs.ndim != 3 or gs.shape[1] != gs.shape[2]:
@@ -423,15 +401,7 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     if not unipotence_bound_holds(n, rp.rho):
         raise ValueError(f"rho = {rp.rho} is too large for the unipotence bound at n = {n}")
     if n == 2:
-        # one reduction serves the finiteness and the range check
-        peak = np.abs(gs).max(initial=0.0)
-        if not math.isfinite(peak):
-            raise ValueError("conjugator entries must be finite")
-        if peak > _GAUSS_ENTRY_LIMIT:
-            raise ValueError(
-                "n = 2 conjugator entries must have modulus at most 2**510, so that "
-                "every squared length stays in the normal float range [2**-1022, 2**1024)"
-            )
+        _require_gauss_range(gs)
         det = np.linalg.det(gs)
         if np.abs(det - 1.0).max(initial=0.0) > 1e-10:
             raise ValueError("conjugator must have determinant 1")
@@ -439,54 +409,101 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
         return np.minimum(rp.rho, shortest / det).tolist()
     if not np.isfinite(gs).all():
         raise ValueError("conjugator entries must be finite")
-    dets = np.linalg.det(gs).tolist()
-    out = []
-    search = []
-    for index, (needed, det) in enumerate(zip(_entry_bounds(gs, rp.rho), dets)):
-        if abs(det - 1.0) > 1e-10:
-            raise ValueError("conjugator must have determinant 1")
-        if needed > DEFAULT_ENTRY_CAP:
-            out.append(EnumerationCapError(required=needed, cap=DEFAULT_ENTRY_CAP))
-            continue
-        # needed == 0 means cond(g) rho e^rho < 1, while any nonzero
-        # integer C has |g C g^{-1}|_F >= |C|_F / cond(g) >= 1 / cond(g):
-        # nothing to scan
-        out.append(rp.rho)
-        if needed:
-            search.append(index)
-    for index in search:
-        out[index] = _search_radius(gs[index], rp.rho)
+    if np.abs(np.linalg.det(gs) - 1.0).max(initial=0.0) > 1e-10:
+        raise ValueError("conjugator must have determinant 1")
+    g_invs = np.linalg.inv(gs)
+    if max(np.abs(gs).max(initial=0.0), np.abs(g_invs).max(initial=0.0)) > 2.0**26:
+        raise ValueError(
+            "n >= 3 conjugators and their inverses must have entries of modulus at most "
+            "2**26, so that every length, product and radius of the pair search stays in "
+            "the normal float range"
+        )
+    sv = np.linalg.svd(gs, compute_uv=False)
+    shortcut = sv[:, -1] > (2.0 * rp.rho + 2.0**-40) * sv[:, 0]
+    out = np.where(shortcut, rp.rho, 0.0).tolist()
+    for index in np.flatnonzero(~shortcut).tolist():
+        out[index] = _pair_radius(gs[index], g_invs[index], rp.rho)
     return out
+
+
+def _require_gauss_range(gs: np.ndarray) -> None:
+    """Refuse an n = 2 stack with an entry that is not finite or has
+    modulus above _GAUSS_ENTRY_LIMIT (discreteness_radii derives the
+    range); one reduction serves both checks."""
+    peak = np.abs(gs).max(initial=0.0)
+    if not math.isfinite(peak):
+        raise ValueError("conjugator entries must be finite")
+    if peak > _GAUSS_ENTRY_LIMIT:
+        raise ValueError(
+            "n = 2 conjugator entries must have modulus at most 2**510, so that "
+            "every squared length stays in the normal float range [2**-1022, 2**1024)"
+        )
+
+
+def _orthogonal_basis(v) -> list:
+    """Columns, in python ints, of a basis of v^perp cap Z^n for a primitive
+    integer vector v: extended-gcd column operations make v^T U =
+    (+-1, 0, .., 0) with U unimodular, and U's other columns span it."""
+    cols = [[int(i == j) for i in range(len(v))] for j in range(len(v))]
+    lead = v[0]
+    for i, y in enumerate(v[1:], 1):
+        if y:
+            # s lead + t y = d, and the new pair of columns has determinant 1
+            d = math.gcd(lead, y)
+            s = pow(lead // d, -1, abs(y) // d)
+            t = (d - s * lead) // y
+            first, other = cols[0], cols[i]
+            cols[0] = [s * p + t * q for p, q in zip(first, other)]
+            cols[i] = [(lead // d) * q - (y // d) * p for p, q in zip(first, other)]
+            lead = d
+    return cols[1:]
+
+
+def _pair_radius(g: np.ndarray, g_inv: np.ndarray, rho: float) -> float:
+    """min(rho, least |g v| |g^{-T} w| over integer v, w != 0 with
+    w . v = 0), each pair scored as frobenius(g @ np.outer(v, w) @ g_inv):
+    the search of discreteness_radii for one n x n conjugator."""
+    dual = g_inv.T
+    _, dual_rows = _lll_reduce(dual)
+    least = dual_rows[0][0]
+
+    def shorter(y):
+        nonlocal least
+        length = math.sqrt(sum(sum(r * x for r, x in zip(row, y)) ** 2 for row in dual_rows))
+        least = min(least, length)
+        return _padded(least)
+
+    _search_ball(dual_rows, _padded(least), shorter)
+    best = rho
+    u, rows = _lll_reduce(g)
+
+    def pair(y):
+        # one of +-v, and primitive
+        if y > tuple(-x for x in y) and math.gcd(*y) == 1:
+            v = u @ y
+            length = frobenius(g @ v)
+            cols = _orthogonal_basis(v.tolist())
+            transform, triangle = _lll_reduce(dual @ np.array(cols, dtype=float).T)
+            # the reduced basis of v^perp cap Z^n, in python ints
+            basis = np.array(cols, dtype=object).T @ transform
+
+            def score(z):
+                nonlocal best
+                if z > tuple(-x for x in z):
+                    best = min(best, frobenius(g @ np.outer(v, (basis @ z).tolist()) @ g_inv))
+                return _padded(best) / length
+
+            _search_ball(triangle, _padded(best) / length, score)
+        return _padded(best) / least
+
+    _search_ball(rows, _padded(best) / least, pair)
+    return best
 
 
 # Iteration cap of the stacked Lagrange-Gauss pass: the 64 d^2 iterations
 # that _lll_reduce allows at d = 2, each one a size reduction and a swap
 # there; it backstops float round-off.
 _GAUSS_CAP = 256
-
-
-def _search_radius(g, rho: float) -> float:
-    """The LLL-reduced, shrinking ball search of discreteness_radii for one
-    n x n conjugator g: LLL on the lattice kron(g, g^{-T}), then the ball
-    search on the triangle of a QR of lattice @ u, the reduced basis
-    rebuilt from the exact integer transform u."""
-    n = g.shape[0]
-    g_inv = np.linalg.inv(g)
-    lattice = np.kron(g, g_inv.T)
-    transform = _lll_reduce(lattice)
-    rmat = np.linalg.qr(lattice @ transform, mode="r")
-    best = rho
-
-    def confirm(y):
-        nonlocal best
-        value = _square_zero_log_norm(g, g_inv, (transform @ y).reshape(n, n))
-        if value is None or value >= best:
-            return None
-        best = value
-        return _padded_radius(value)
-
-    _search_ball(rmat, _padded_radius(rho), confirm)
-    return best
 
 
 def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
@@ -510,8 +527,13 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
     each matrix): with shortest column v = (a, c), second column (b, d)
     and s = sqrt|ad - bc|, R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].
     The columns of R are then still reduced: |r12| <= r11 / 2 and
-    r11^2 <= r12^2 + r22^2.  At n >= 3, each matrix takes the LLL
-    transform u (_lll_reduce), and R comes from a QR of g @ u, its
+    r11^2 <= r12^2 + r22^2.  An n = 2 stack is held to the float range of
+    the n = 2 radius (discreteness_radii): an entry that is not finite or
+    has modulus above 2^510 raises its ValueError, checked once per call.
+    Inside it, and with |det g| near 1 as on the walk, the reduced columns
+    are no longer than the input ones, so a d, b c, a b + c d and |v| s
+    stay below 2^1023 and |v| above 2^-511.  At n >= 3, each matrix takes
+    the LLL transform u (_lll_reduce), and R comes from a QR of g @ u, its
     diagonal made positive; |det(g u)| is then the product of that
     diagonal.
     """
@@ -520,6 +542,7 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
         return reduced_conjugator(gs[None])[0]
     n = gs.shape[-1]
     if n == 2:
+        _require_gauss_range(gs)
         a, b, c, d, aa_cc = _gauss_reduce_stack(gs)
         v = np.sqrt(aa_cc)
         s = np.sqrt(np.abs(a * d - b * c))
@@ -530,7 +553,7 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
         return out
     out = np.empty_like(gs)
     for i, g in enumerate(gs):
-        r = np.linalg.qr(g @ _lll_reduce(g), mode="r")
+        r = np.linalg.qr(g @ _lll_reduce(g)[0], mode="r")
         r *= np.sign(np.diag(r))[:, None]
         out[i] = r / np.prod(np.diag(r)) ** (1.0 / n)
     return out

@@ -7,13 +7,15 @@ scipy's logm), the n = 2 closed form one matrix at a time in python floats
 (the scalar Lagrange-Gauss loop that the stacked pass must match bit for
 bit), fraction-free elimination for integer determinants, the
 Mercator-series matrix log, the finite log sum of every unipotent element
-(not only the square-zero ones the library confirms), minors for wedge
+(not only the square-zero ones the kron oracle confirms), minors for wedge
 norms, explicit roots for the type-A constants, and the adjoint action as
 an explicit matrix on sl(n), whose spectral norm checks the closed-form Ad
 norms (expanding_element's and diagonal_ad_norm's largest entry ratio).
 The radius kernel's two search layers also keep their plain forms here:
 an LLL that takes a fresh QR after every swap, and a full interval
-enumeration of the ball that never shrinks it.  A mu_s draw keeps its
+enumeration of the ball that never shrinks it.  The search the library
+ran before its pair search stays as the kron oracle: the ball over the
+n^2-dimensional lattice kron(g, g^{-T}), each point confirmed by C^2 = 0.  A mu_s draw keeps its
 plain form too: two Haar rotations around s_lambda, one after the other.
 Two formulas that only tests evaluate live here as well: q_of_subspace,
 the wedge functional that check_projection_bound compares against, and
@@ -186,7 +188,7 @@ def nilpotent_log_norm(g, g_inv, nil):
     or None when gamma is not unipotent.  The test nil^n = 0 runs in python
     ints; for nilpotent nil the log is the finite sum
     L = sum_{k<n} (-1)^{k+1} nil^k / k, and the value is |g L g^{-1}|_F.
-    Unlike the library's confirm it weighs every unipotent gamma, also
+    Unlike square_zero_log_norm it weighs every unipotent gamma, also
     those with nil^2 != 0 that the square-zero lemma skips."""
     n = len(nil)
     power = [[int(v) for v in row] for row in nil]
@@ -200,6 +202,51 @@ def nilpotent_log_norm(g, g_inv, nil):
         log += ((-1.0) ** (k + 1) / k) * np.array(power, dtype=float)
         power = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in power]
     return frobenius(g @ log @ g_inv)
+
+
+def square_zero_log_norm(g, g_inv, c):
+    """|g c g^{-1}|_F for gamma = I + c, c an integer matrix with c^2 = 0
+    (tested in python ints, which cannot overflow): N = g c g^{-1} squares
+    to zero too, so it is the exact log.  None when c^2 != 0.  The kron
+    search's confirm; discreteness_radii holds the square-zero lemma that
+    makes it enough."""
+    rows = c.tolist()
+    columns = list(zip(*rows))
+    if any(sum(a * b for a, b in zip(row, col)) for row in rows for col in columns):
+        return None
+    return frobenius(g @ c @ g_inv)
+
+
+def kron_radius(g: np.ndarray, rho: float) -> float:
+    """The n x n discreteness radius by the search over the n^2-dimensional
+    lattice kron(g, g^{-T}), whose integer points are the row-stacked
+    matrices C with g C g^{-1} = kron(g, g^{-T}) vec(C): LLL
+    (slgroup._lll_reduce), then a ball search (slgroup._search_ball) on
+    the triangle of a fresh QR of lattice @ u, padded for the
+    exponential's stretch |e^X - I|_F <= |X|_F e^{|X|_F}.  Each ball point
+    I + C counts if C^2 = 0, with log-norm |g C g^{-1}|_F, and shrinks
+    the ball.  No entry window or cap, so it can be slow far into the
+    cusp."""
+    n = g.shape[0]
+    g_inv = np.linalg.inv(g)
+    lattice = np.kron(g, g_inv.T)
+    transform = slgroup._lll_reduce(lattice)[0]
+    rmat = np.linalg.qr(lattice @ transform, mode="r")
+    best = rho
+
+    def padded(r):
+        return r * math.exp(r) * (1.0 + 1e-9) + 1e-12
+
+    def confirm(y):
+        nonlocal best
+        value = square_zero_log_norm(g, g_inv, (transform @ y).reshape(n, n))
+        if value is None or value >= best:
+            return None
+        best = value
+        return padded(value)
+
+    slgroup._search_ball(rmat.tolist(), padded(rho), confirm)
+    return best
 
 
 def int_det(mat: np.ndarray) -> int:

@@ -34,7 +34,6 @@ from thinpart.harness.experiments import (
     _WALK_BLOCK,
     _WALK_CHAINS,
     InsufficientDataError,
-    WalkCapError,
     conjugation_walk,
     drift_parameters,
     expansion_indicator,
@@ -58,16 +57,13 @@ from thinpart.harness.report import (
     write_report,
 )
 from thinpart.slgroup import (
-    EnumerationCapError,
     expanding_element,
     reduced_conjugator,
 )
 
 _SMALL = ExperimentConfig(n_base_points=6, n_mc_samples=30, walk_length=300)
-# An n = 3 scale whose walk and drift steps reach entry windows of 1 to
-# about 30, so a lowered entry cap binds on some steps and not others:
-# one ray step of x0 = 0.58, rho = 0.34 x0^2 = 0.114.  p_hat = 0.95
-# balances its drift.
+# An n = 3 scale: one ray step of x0 = 0.58, rho = 0.34 x0^2 = 0.114,
+# where many walk steps lie below rho.  p_hat = 0.95 balances its drift.
 _N3 = dataclasses.replace(
     _SMALL, group_n=3, lambda_=1.75, x0=0.58, eps_grid=(1e-2, 3e-3, 1e-3)
 )
@@ -447,9 +443,8 @@ class TestRunners:
         # 3000 steps (23 per chain) expect about 15 there
         cfg = dataclasses.replace(_SMALL, walk_length=3000)
         _, rp = derive_group(cfg)
-        rows, error = self._stepwise_walk(cfg)
+        rows = self._stepwise_walk(cfg)
         rep = run_stationary_bound(cfg, p_hat=0.88)
-        assert error is None
         assert [(t, r) for t, r, _ in rep.samples] == rows
         assert sum(r < rp.rho for _, r in rows) >= 5  # not only the ceiling
 
@@ -457,8 +452,7 @@ class TestRunners:
         # the n >= 3 branch of the stacked reduced_conjugator: LLL and QR per
         # matrix, against one step at a time
         cfg = dataclasses.replace(_SMALL, group_n=3, walk_length=400, eps_grid=(1e-5, 1e-6))
-        rows, error = self._stepwise_walk(cfg)
-        assert error is None
+        rows = self._stepwise_walk(cfg)
         assert conjugation_walk(cfg) == rows
 
     @pytest.mark.parametrize("experiment, runner, columns", [
@@ -509,109 +503,40 @@ class TestRunners:
         with pytest.raises(ConfigError, match="n = 2"):
             run_evanescence(cfg)
 
-    def test_walk_cap_error_carries_stats(self):
-        err = WalkCapError(steps_done=50, incidents=6, required=2_000_000, cap=1_000_000)
-        assert err.incidents == 6
-        assert "entry window" in str(err)
-
     @staticmethod
     def _stepwise_walk(cfg):
         # the walk one step at a time over the same chain layout, with
         # scalar reductions and radii: global step t advances chain
-        # (t - 1) mod _WALK_CHAINS by the next draw of the walk stream.
-        # Returns (rows, None), or (rows so far, WalkCapError fields) once
-        # incidents pass the limit
+        # (t - 1) mod _WALK_CHAINS by the next draw of the walk stream
         sp, rp = derive_group(cfg)
         rng = np.random.default_rng([cfg.seed, _TAG_WALK, 0])
         chains = [np.eye(cfg.group_n)] * _WALK_CHAINS
         rows = []
-        incidents = 0
         for t in range(1, cfg.walk_length + 1):
             chain = (t - 1) % _WALK_CHAINS
             chains[chain] = reduced_conjugator(mu_s_draw(sp, rng) @ chains[chain])
-            try:
-                radius = model_radius(chains[chain], rp)
-            except EnumerationCapError as exc:
-                incidents += 1
-                if incidents > max(5, cfg.walk_length // 200):
-                    return rows, (t, incidents, exc.required, exc.cap)
-                radius = None
-            rows.append((t, radius))
-        return rows, None
+            rows.append((t, model_radius(chains[chain], rp)))
+        return rows
 
-    @pytest.mark.parametrize("seed, length, cap, raises", [
-        (_SMALL.seed, 100, 0, False),
-        (_SMALL.seed, 200, 0, False),
-        (_SMALL.seed, _WALK_BLOCK, 0, False),
-        (_SMALL.seed, 700, 1, False),
-        (1, 600, 0, True),
-        (15, 600, 0, True),
-    ])
-    def test_walk_cap_path_matches_stepwise_walk(self, monkeypatch, seed, length, cap, raises):
-        # the entry cap exists at n >= 3 only: on the n = 3 walk of _N3
-        # with the cap at 0 (1), every step whose window is at least 1 (2)
-        # is an incident.  The walk records None at exactly the steps
-        # where the scalar radius raises, and stops with the same
-        # WalkCapError, in mid-round: at step 293 (chain 36 of the third
-        # round, second block) at seed 1, at step 306 (chain 49 of the
-        # third round, second block) at seed 15.  The lengths sit below
-        # one round of _WALK_CHAINS steps (100), at a block (256) and off a
-        # multiple of the round (200, 600, 700); a chain's first step from
-        # the identity is too tame for an incident, so only walks longer
-        # than a round have one (3, 4 and 1 incidents at 200, 256 and 700)
-        monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", cap)
-        cfg = dataclasses.replace(_N3, seed=seed, walk_length=length)
-        rows, error = self._stepwise_walk(cfg)
-        assert (error is not None) == raises
-        if raises:
-            assert 0 < (error[0] - 1) % _WALK_CHAINS < _WALK_CHAINS - 1
-            with pytest.raises(WalkCapError) as info:
-                run_stationary_bound(cfg, p_hat=_N3_P_HAT)
-            err = info.value
-            assert (err.steps_done, err.incidents, err.required, err.cap) == error
-            assert isinstance(err.__cause__, EnumerationCapError)
-            return
+    @pytest.mark.parametrize("length", [100, 200, _WALK_BLOCK, 700])
+    def test_walk_matches_stepwise_walk(self, length):
+        # on the n = 3 walk of _N3 the stacked blocks give every step the
+        # radius of the scalar walk, bit for bit: lengths below one round
+        # of _WALK_CHAINS steps (100), at a block (256) and off a multiple
+        # of the round (200, 700); every step has a radius, so the kept
+        # rows are the steps after burn-in and no incident is counted.
+        # The first steps from the identity stay at rho; only the 700-step
+        # walk reaches below it
+        cfg = dataclasses.replace(_N3, walk_length=length)
+        rows = self._stepwise_walk(cfg)
         rep = run_stationary_bound(cfg, p_hat=_N3_P_HAT)
         assert [(t, r) for t, r, _ in rep.samples] == rows
-        nones = [t for t, r in rows if r is None]
-        assert bool(nones) == (length > _WALK_CHAINS)
-        assert rep.summary["cap_incidents"] == len(nones)
-        assert all(not kept for t, r, kept in rep.samples if r is None)
-
-    def test_drift_cap_error_is_the_first_stepwise_one(self, monkeypatch):
-        # key-inequality at n = 3 stacks base 0's steps and then the base
-        # itself; it raises the EnumerationCapError that scalar radii in
-        # that order meet first (window 27 for the first step at this seed)
-        monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", 0)
-        sp, rp = derive_group(_N3)
-        rng = np.random.default_rng([_N3.seed, _TAG_DRIFT_BASE, 0])
-        g = sample_base_conjugator(3, rng)
-        steps = [mu_s_draw(sp, rng) @ g for _ in range(_N3.n_mc_samples)]
-        required = None
-        for m in steps + [g]:
-            try:
-                model_radius(m, rp)
-            except EnumerationCapError as exc:
-                required = exc.required
-                break
-        with pytest.raises(EnumerationCapError) as info:
-            run_key_inequality(_N3, p_hat=_N3_P_HAT)
-        assert required == 27
-        assert (info.value.required, info.value.cap) == (required, 0)
-
-    def test_n2_walk_and_drift_have_no_entry_cap(self, monkeypatch):
-        # the n = 2 forms of the two tests above: the closed-form radius
-        # has no entry window, so with the cap at 0 the walk has no
-        # incident and the walk and key-inequality keep their bytes
-        cfg = dataclasses.replace(_SMALL, walk_length=700)
-        want = [run_stationary_bound(cfg, p_hat=0.88), run_key_inequality(_SMALL, p_hat=0.88)]
-        monkeypatch.setattr(slgroup, "DEFAULT_ENTRY_CAP", 0)
-        got = [run_stationary_bound(cfg, p_hat=0.88), run_key_inequality(_SMALL, p_hat=0.88)]
-        assert got[0].summary["cap_incidents"] == 0
-        assert all(r is not None for _, r, _ in got[0].samples)
-        for a, b in zip(got, want):
-            assert render_report_json(a) == render_report_json(b)
-            assert render_samples_csv(a) == render_samples_csv(b)
+        assert all(type(r) is float for _, r in rows)
+        below = sum(r < derive_group(cfg)[1].rho for _, r in rows)
+        assert (below > 0) == (length == 700)
+        assert rep.summary["cap_incidents"] == 0
+        assert rep.summary["retained"] == length - length // 10
+        assert [kept for _, _, kept in rep.samples] == [t > length // 10 for t, _ in rows]
 
 
 class TestDeterminism:

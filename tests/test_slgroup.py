@@ -19,6 +19,7 @@ from oracles import (
     gauss_radius,
     gauss_reduce,
     int_det,
+    kron_radius,
     lattice_candidates,
     mat_log,
     mu_s_draw,
@@ -27,23 +28,20 @@ from oracles import (
     qr_lll_reduce,
     sl3_window_radius,
     sl_basis,
+    square_zero_log_norm,
 )
 from thinpart.harness.config import ExperimentConfig, derive_group
 from thinpart.harness.experiments import model_radius, sample_base_conjugator
 from thinpart import slgroup
 from thinpart.linalg import frobenius, haar_orthogonal
 from thinpart.slgroup import (
-    DEFAULT_ENTRY_CAP,
     DegenerateRayError,
-    EnumerationCapError,
     RadiusParams,
     ZASSENHAUS_RADIUS,
-    _entry_bounds,
     _gauss_reduce_stack,
     _lll_reduce,
+    _pair_radius,
     _search_ball,
-    _search_radius,
-    _square_zero_log_norm,
     discreteness_radii,
     exact_expansion_probability,
     expanding_element,
@@ -163,11 +161,6 @@ class TestExpandingElement:
 
 
 class TestCandidateEnumeration:
-    def test_entry_bound_examples(self):
-        assert _entry_bounds(np.eye(2)[None], 0.3) == [0]
-        assert _entry_bounds(np.eye(2)[None], 1.2) == [4]
-        assert _entry_bounds(np.stack([np.eye(2), np.diag([0.5, 2.0])]), 1.2) == [4, 16]
-
     def test_identity_small_radius_empty(self):
         # the oracle's window is one unit wider than the proof needs, so
         # it holds the unit shears; none lies in the ball |gamma - I|_F <= r e^r
@@ -196,30 +189,6 @@ class TestCandidateEnumeration:
         got = {tuple(map(tuple, c)) for c in lattice_candidates(np.eye(2), 1.2)}
         assert got == brute
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            _entry_bounds(np.eye(2)[None], -0.1)
-        with pytest.raises(ValueError):
-            lattice_candidates(np.eye(2), -0.1)
-
-    def test_cap_error_carries_requirement(self):
-        # cond(g) = 1e8 asks for a window of about 4.8e6 at the loose rho;
-        # the cap exists at n >= 3 only
-        g = np.diag([1e-4, 1.0, 1e4])
-        with pytest.raises(EnumerationCapError) as info:
-            model_radius(g, _LOOSE_RP)
-        assert info.value.required == _entry_bounds(g[None], _LOOSE_RP.rho)[0]
-        assert info.value.required > info.value.cap == DEFAULT_ENTRY_CAP
-
-    def test_n2_has_no_entry_cap(self):
-        # the n = 2 form of the window above: the closed form gives the
-        # radius lambda_1^2 = 1e-8 of the cusp point, with no window
-        g = np.diag([1e-4, 1e4])
-        assert _entry_bounds(g[None], _LOOSE_RP.rho)[0] > DEFAULT_ENTRY_CAP
-        got = model_radius(g, _LOOSE_RP)
-        assert got == gauss_radius(g.tolist(), float(np.linalg.det(g)), _LOOSE_RP.rho)
-        assert got == pytest.approx(1e-8, rel=1e-15)
-
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_int_det_matches_float_det(self, index):
@@ -235,7 +204,7 @@ class TestLatticeReduction:
         rng = np.random.default_rng([34, case])
         d = int(rng.integers(2, 5))
         basis = rng.standard_normal((d, d)) + np.eye(d)
-        assert abs(int_det(_lll_reduce(basis))) == 1
+        assert abs(int_det(_lll_reduce(basis)[0])) == 1
 
     @pytest.mark.parametrize("case", range(15))
     def test_lll_first_vector_quality(self, case):
@@ -245,14 +214,14 @@ class TestLatticeReduction:
         # redraw singular bases from the same stream, so every case checks one
         while abs(np.linalg.det(basis)) < 0.5:
             basis = rng.integers(-4, 5, size=(d, d)).astype(float)
-        reduced = basis @ _lll_reduce(basis)
+        reduced = basis @ _lll_reduce(basis)[0]
         min_col = float(np.linalg.norm(basis, axis=0).min())
         first = float(np.linalg.norm(reduced[:, 0]))
         assert first <= 2.0 ** ((d - 1) / 2.0) * min_col * (1.0 + 1e-9)
 
     @staticmethod
     def _reduction_inputs():
-        # 2 x 2 bases, and the kron(g, g^-T) lattices the radius kernel
+        # 2 x 2 bases, and the kron(g, g^-T) lattices the kron oracle
         # reduces for base draws at n = 2 and n = 3 up to cond 1e4
         for case in range(300):
             rng = np.random.default_rng([42, case])
@@ -267,11 +236,11 @@ class TestLatticeReduction:
         # fresh QR after every swap
         for basis in self._reduction_inputs():
             _, ref_u = qr_lll_reduce(basis)
-            assert np.array_equal(_lll_reduce(basis), ref_u)
+            assert np.array_equal(_lll_reduce(basis)[0], ref_u)
 
     def test_lll_output_is_size_reduced_and_lovasz(self):
         for basis in self._reduction_inputs():
-            reduced = basis @ _lll_reduce(basis)
+            reduced = basis @ _lll_reduce(basis)[0]
             rr = np.linalg.qr(reduced, mode="r")
             diag = np.diag(rr)
             mu = rr / diag[:, None]  # mu[j, k] for j < k
@@ -280,6 +249,22 @@ class TestLatticeReduction:
                 assert np.abs(mu[:k, k]).max() <= 0.5 + 1e-9
                 lovasz = (0.75 - mu[k - 1, k] ** 2) * star[k - 1]
                 assert star[k] >= lovasz - 1e-9 * star[k - 1]
+
+    def test_lll_triangle_matches_qr(self):
+        # the triangle read off the final Gram-Schmidt data, on which the
+        # pair search runs its balls, is the positive-diagonal QR triangle
+        # of the reduced basis to round-off: on the inputs above, and on
+        # the conjugators g and g^-T that the pair search reduces
+        inputs = list(self._reduction_inputs())
+        for case in range(60):
+            rng = np.random.default_rng([41, case])
+            g = sample_base_conjugator(case % 3 + 3, rng, cond_low=1.5, cond_high=1e5)
+            inputs += [g, np.linalg.inv(g).T]
+        for basis in inputs:
+            u, rows = _lll_reduce(basis)
+            rr = np.linalg.qr(basis @ u, mode="r")
+            rr *= np.sign(np.diag(rr))[:, None]
+            assert np.abs(np.array(rows) - rr).max() <= 1e-12 * np.abs(rr).max()
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -308,7 +293,7 @@ class TestLatticeReduction:
             seen.append(y)
             return None
 
-        _search_ball(rmat, radius, record)
+        _search_ball(rmat.tolist(), radius, record)
         return seen
 
     @pytest.mark.parametrize(
@@ -336,7 +321,7 @@ class TestLatticeReduction:
                     return length[y]
                 return None
 
-            _search_ball(rmat, radius, shrink)
+            _search_ball(rmat.tolist(), radius, shrink)
             assert all(length.get(y, math.inf) <= bound * (1.0 + 1e-12) for y, bound in visited)
             short = {y for y in brute if length[y] <= shortest * (1.0 + 1e-12)}
             assert short <= {y for y, _ in visited}
@@ -411,13 +396,15 @@ class TestDiscretenessRadius:
         assert nontrivial >= 5  # the sweep must exercise real candidates
 
     def test_box_oracle_agreement_is_exact(self):
-        # dual route to the general search kernel: exhaustive box
-        # enumeration + the finite nilpotent log sum, which reduces to the
-        # kernel's square-zero log-norm; the box route is complete at rho,
-        # so the minima agree exactly
+        # dual route to the pair search, which runs at n = 2 too, and to
+        # the kron oracle: exhaustive box enumeration + the finite
+        # nilpotent log sum, which reduces to the pair score
+        # |g v w^T g^{-1}|_F; the box route is complete at rho, so the
+        # minima agree exactly
         nontrivial = 0
         for g, rho, best, _ in _box_oracle_cases():
-            assert _search_radius(g, rho) == best
+            assert _pair_radius(g, np.linalg.inv(g), rho) == best
+            assert kron_radius(g, rho) == best
             nontrivial += best < rho
         assert nontrivial >= 20
 
@@ -461,15 +448,17 @@ class TestDiscretenessRadius:
             assert not_square_zero >= 1
 
     def test_hit_with_nonzero_square_is_rejected(self):
-        # the ball of g = k diag(0.1, 1, 10) holds I + C with
+        # the kron ball of g = k diag(0.1, 1, 10) holds I + C with
         # C = e1 e2^T + e2 e3^T, unipotent with C^2 = e1 e3^T != 0, and
-        # I + C^2; the confirm rejects C and the radius comes from C^2
+        # I + C^2; the kron oracle's confirm rejects C, its radius comes
+        # from C^2, and the pair search, which never forms C, agrees
         g = haar_orthogonal(3, np.random.default_rng(7)) @ np.diag([0.1, 1.0, 10.0])
         g_inv = np.linalg.inv(g)
         c = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int64)
         assert nilpotent_log_norm(g, g_inv, c) == pytest.approx(0.1415, abs=1e-4)
-        assert _square_zero_log_norm(g, g_inv, c) is None
+        assert square_zero_log_norm(g, g_inv, c) is None
         got = discreteness_radii(g[None], RadiusParams(rho=ZASSENHAUS_RADIUS))[0]
+        assert got == kron_radius(g, ZASSENHAUS_RADIUS)
         assert got == frobenius(g @ (c @ c) @ g_inv)
         assert got == pytest.approx(0.01, rel=1e-12)
 
@@ -489,7 +478,7 @@ class TestDiscretenessRadius:
 
     def test_unipotent_log_norm(self):
         # N^3 != 0: the oracle's finite sum N - N^2/2 + N^3/3, conjugated,
-        # equals scipy's logm, and the library's square-zero confirm
+        # equals scipy's logm, and the kron oracle's square-zero confirm
         # rejects it; determinant 1 without unipotence gives None from
         # both, also at trace n (the companion matrix of x^3 - 3x^2 - 1)
         g = sample_base_conjugator(4, np.random.default_rng(50), cond_low=2.0, cond_high=5.0)
@@ -497,11 +486,11 @@ class TestDiscretenessRadius:
         nil = np.triu(np.arange(1, 17).reshape(4, 4), 1)
         want = frobenius(scipy.linalg.logm(g @ (np.eye(4) + nil) @ g_inv))
         assert nilpotent_log_norm(g, g_inv, nil) == pytest.approx(want, rel=1e-12)
-        assert _square_zero_log_norm(g, g_inv, nil) is None
+        assert square_zero_log_norm(g, g_inv, nil) is None
         for gamma in ([[2, 1], [1, 1]], [[0, -1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 3]]):
             n = len(gamma)
             nil = np.array(gamma) - np.eye(n, dtype=np.int64)
-            for log_norm in (nilpotent_log_norm, _square_zero_log_norm):
+            for log_norm in (nilpotent_log_norm, square_zero_log_norm):
                 assert log_norm(np.eye(n), np.eye(n), nil) is None
 
     def test_rho_above_zassenhaus_rejected(self):
@@ -523,6 +512,96 @@ class TestDiscretenessRadius:
         for g in (np.eye(3)[:2], np.diag([np.nan, 1.0]), np.diag([2.0, 1.0])):
             with pytest.raises(ValueError):
                 model_radius(g, _LOOSE_RP)
+
+
+def _wide_base_draws(count, seed, cond_low, cond_high, shears=0):
+    # base draws at n = 3, 4 and 5 in turn, cond log-uniform in the
+    # window; with shears, each times a product of that many elementary
+    # integer matrices, the same lattice in a basis far from reduced
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = 3 + i % 3
+        cond = math.exp(rng.uniform(math.log(cond_low), math.log(cond_high)))
+        g = sample_base_conjugator(n, rng, cond_low=cond, cond_high=cond)
+        for _ in range(shears):
+            row, col = rng.choice(n, 2, replace=False)
+            g[:, col] += int(rng.integers(-3, 4)) * g[:, row]
+        out.append(g)
+    return out
+
+
+class TestPairSearch:
+    """The radius as a minimum over orthogonal pairs (v, w), against the
+    kron oracle and the rank-one lemma of discreteness_radii."""
+
+    def test_orthogonal_basis_spans_the_complement(self):
+        # v^perp n Z^n has covolume |v| for primitive v: n - 1 integer
+        # columns orthogonal to v whose Gram determinant is |v|^2 span it
+        rng = np.random.default_rng(67)
+        for case in range(300):
+            n = 3 + case % 3
+            v = rng.integers(-40, 41, size=n) * (rng.random(n) < 0.7)
+            if math.gcd(*v.tolist()) != 1:
+                continue
+            cols = np.array(slgroup._orthogonal_basis(v.tolist()), dtype=np.int64)
+            assert cols.shape == (n - 1, n)
+            assert not (cols @ v).any()
+            assert int_det(cols @ cols.T) == int(v @ v)
+
+    def test_matches_kron_oracle_bit_for_bit(self):
+        # 1,080 radii at n = 3, 4 and 5, cond 1.5 to 1e4 and four rho from
+        # 0.3 down to the default n = 3 scale, all inside the entry window
+        # of 10^6 that the kron search scanned, a third of them in sheared
+        # bases, so that the pairs' v and w are far from unit vectors: the
+        # pair search gives the kron search's radius to the last bit,
+        # shortcut entries included
+        draws = _wide_base_draws(180, 63, 1.5, 1e4) + _wide_base_draws(90, 68, 1.5, 1e3, 6)
+        below = 0
+        for rho in (0.3, 0.05, 0.01, 1.14e-4):
+            assert all(entry_window(g, rho) <= 10**6 for g in draws)
+            got = discreteness_radii(np.stack(draws[0::3]), RadiusParams(rho=rho))
+            got += discreteness_radii(np.stack(draws[1::3]), RadiusParams(rho=rho))
+            got += discreteness_radii(np.stack(draws[2::3]), RadiusParams(rho=rho))
+            want = [kron_radius(g, rho) for g in draws[0::3] + draws[1::3] + draws[2::3]]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            below += sum(r < rho for r in got)
+        assert 400 <= below < 1080
+
+    def test_rank_two_element_is_never_shorter(self):
+        # g = k diag(0.1, 0.1, 10, 10) u with u integer upper unipotent:
+        # the kron ball holds I + C with C = u^-1 (e1 e3^T + e2 e4^T) u,
+        # square-zero of rank 2 and log-norm 0.01 sqrt(2); the radius is
+        # a rank-one pair's, as the kron oracle finds, and at most
+        # gamma_2 / sqrt(2) = 0.8165 of the rank-2 log-norm
+        k = haar_orthogonal(4, np.random.default_rng(64))
+        u = np.array([[1, 1, 0, 2], [0, 1, -1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], dtype=np.int64)
+        g = k @ np.diag([0.1, 0.1, 10.0, 10.0]) @ u
+        u_inv = np.round(np.linalg.inv(u)).astype(np.int64)
+        assert (u_inv @ u == np.eye(4, dtype=np.int64)).all()
+        e = np.eye(4, dtype=np.int64)
+        c = u_inv @ (np.outer(e[0], e[2]) + np.outer(e[1], e[3])) @ u
+        assert not (c @ c).any() and np.linalg.matrix_rank(c) == 2
+        rank_two = square_zero_log_norm(g, np.linalg.inv(g), c)
+        assert rank_two == pytest.approx(0.01 * math.sqrt(2.0), rel=1e-12)
+        rho = 0.3
+        got = model_radius(g, RadiusParams(rho=rho))
+        assert got == kron_radius(g, rho)
+        assert got <= 0.817 * rank_two
+        assert got == pytest.approx(0.01, rel=1e-12)
+
+    def test_far_past_the_old_window_radii_lie_between_bounds(self):
+        # cond 1e6 to 1e9 at rho = 0.3, where the kron search's entry
+        # window passed its cap: every pair has |g v| |g^-T w| >= 1/cond(g),
+        # and the radius is at most rho
+        rho = 0.3
+        draws = _wide_base_draws(60, 65, 1e6, 1e9)
+        assert sum(entry_window(g, rho) > 10**6 for g in draws) >= 30
+        got = discreteness_radii(np.stack(draws[0::3]), RadiusParams(rho=rho))
+        got += discreteness_radii(np.stack(draws[1::3]), RadiusParams(rho=rho))
+        got += discreteness_radii(np.stack(draws[2::3]), RadiusParams(rho=rho))
+        for g, r in zip(draws[0::3] + draws[1::3] + draws[2::3], got):
+            assert 1.0 / np.linalg.cond(g) <= r <= rho
 
 
 class TestExactExpansionProbability:
@@ -601,9 +680,8 @@ class TestReducedConjugator:
         self._assert_tame(wild, tame, 1e-12)
         for r in [tame, *_walk_conjugators(300)[case::15]]:
             self._assert_gauss_triangle(r)
-        # n = 3 and 4, whose windows at this cond stay far below the entry
-        # cap; the signed column swap makes LLL's transform det -1 on most
-        # inputs, so the discarded orthogonal factor is a reflection
+        # n = 3 and 4; the signed column swap makes LLL's transform det -1
+        # on most inputs, so the discarded orthogonal factor is a reflection
         flipped = 0
         for n in (3, 4):
             g = sample_base_conjugator(n, np.random.default_rng([40, n, case]), 5.0, 500.0)
@@ -613,8 +691,35 @@ class TestReducedConjugator:
             swap[:, 0] *= -1.0
             for wild in (g @ shear, g @ shear @ swap):
                 self._assert_tame(wild, reduced_conjugator(wild), 1e-9)
-                flipped += int_det(_lll_reduce(wild)) == -1
+                flipped += int_det(_lll_reduce(wild)[0]) == -1
         assert flipped
+
+    def test_n2_float_range_refusal_on_both_sides(self):
+        # n = 2 entries up to 2**510 reduce with no numpy warning or float
+        # error; one float past it, or a non-finite entry, refuses the
+        # call with the ValueError of the n = 2 radius, naming the range
+        edge = 2.0**510
+        past = np.nextafter(edge, np.inf)
+        inside = np.stack([
+            np.diag([edge, 1.0 / edge]),
+            np.diag([1.0 / edge, edge]),
+            np.array([[1.0, edge], [0.0, 1.0]]),
+            haar_orthogonal(2, np.random.default_rng(66)) @ np.diag([2.0**509, 2.0**-509]),
+        ])
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = reduced_conjugator(inside)
+            assert np.isfinite(got).all()
+            for r in got:
+                assert r[1, 0] == 0.0 and r[0, 0] > 0.0 and r[1, 1] > 0.0
+            assert got[0, 0, 0] == got[1, 0, 0] == 2.0**-510
+            for g in (np.diag([past, 1.0 / past]), np.diag([1e200, 1e-200]),
+                      np.array([[1.0, -2.0 * edge], [0.0, 1.0]])):
+                for gs in (g, np.stack([np.eye(2), g])):
+                    with pytest.raises(ValueError, match=r"2\*\*510.*normal float range"):
+                        reduced_conjugator(gs)
+            with pytest.raises(ValueError, match="finite"):
+                reduced_conjugator(np.diag([np.inf, 0.0]))
 
 
 def _walk_conjugators(count):
@@ -661,32 +766,30 @@ class TestStacked:
 
     @staticmethod
     def _wide(n):
-        # cond 1e8 and a rotated cond 1e10: over the cap at the loose rho
-        # at n = 3, and plain radii at n = 2
+        # cond 1e8 and a rotated cond 1e10, far past the window the kron
+        # search could scan at the loose rho
         mid = [1.0] * (n - 2)
         return [
             np.diag([1e-4, *mid, 1e4]),
             haar_orthogonal(n, np.random.default_rng(48)) @ np.diag([1e-5, *mid, 1e5]),
         ]
 
-    def test_stacked_cap_entry_carries_requirement(self):
-        # n = 3: the wide entries hold their cap errors and their
-        # neighbours, one searched and one at the rho shortcut, do not
+    def test_n3_wide_entries_get_radii(self):
+        # n = 3: the wide entries, which the kron search's entry window
+        # capped, get the radii of their rank-one pairs e1, e3 (1e-8 and
+        # 1e-10), next to one searched and one shortcut neighbour; each is
+        # its one-matrix value, bit for bit
         wide = self._wide(3)
-        stack = [np.diag([0.1, 1.0, 10.0]), wide[0], np.eye(3), wide[1]]
-        got = discreteness_radii(np.stack(stack), _LOOSE_RP)
-        for i, g in ((1, wide[0]), (3, wide[1])):
-            with pytest.raises(EnumerationCapError) as info:
-                model_radius(g, _LOOSE_RP)
-            assert isinstance(got[i], EnumerationCapError)
-            assert (got[i].required, got[i].cap) == (info.value.required, DEFAULT_ENTRY_CAP)
-        assert got[1].required < got[3].required
-        assert got[0] == model_radius(stack[0], _LOOSE_RP) < _LOOSE_RP.rho
+        stack = np.stack([np.diag([0.1, 1.0, 10.0]), wide[0], np.eye(3), wide[1]])
+        got = discreteness_radii(stack, _LOOSE_RP)
+        assert got == [model_radius(g, _LOOSE_RP) for g in stack]
         assert got[0] == pytest.approx(0.01, rel=1e-12)
+        assert got[1] == pytest.approx(1e-8, rel=1e-12)
+        assert got[3] == pytest.approx(1e-10, rel=1e-9)
         assert got[2] == _LOOSE_RP.rho
 
     def test_n2_wide_entries_get_radii(self):
-        # the n = 2 form of the stack above: every entry is a radius, the
+        # the n = 2 form of the stack above: every entry is the
         # one-matrix value and the oracle's, bit for bit
         wide = self._wide(2)
         stack = np.stack([np.diag([0.1, 10.0]), wide[0], np.eye(2), wide[1]])
@@ -699,24 +802,9 @@ class TestStacked:
         assert got[3] == pytest.approx(1e-10, rel=1e-9)
         assert got[2] == _LOOSE_RP.rho
 
-    def test_model_radius_raises_the_first_capped_entry(self):
-        # two over-cap entries at n = 3 with different windows: a stack
-        # raises the one that comes first, whichever order they come in
-        wide = self._wide(3)
-        required = [discreteness_radii(w[None], _LOOSE_RP)[0].required for w in wide]
-        assert required[0] < required[1]
-        for first, second in ((0, 1), (1, 0)):
-            stack = np.stack([np.diag([0.1, 1.0, 10.0]), wide[first], np.eye(3), wide[second]])
-            with pytest.raises(EnumerationCapError) as info:
-                model_radius(stack, _LOOSE_RP)
-            assert (info.value.required, info.value.cap) == (required[first], DEFAULT_ENTRY_CAP)
-            with pytest.raises(EnumerationCapError) as info:
-                model_radius(wide[second], _LOOSE_RP)
-            assert info.value.required == required[second]
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_model_radius_of_a_stack_and_of_one_matrix(self, n):
-        # cap-free stacks: entry for entry the radii of discreteness_radii,
+        # entry for entry the radii of discreteness_radii,
         # and one matrix the entry of its stack of one, bit for bit
         rng = np.random.default_rng([49, n])
         bases = [sample_base_conjugator(n, rng) for _ in range(12)]
@@ -731,26 +819,49 @@ class TestStacked:
             assert np.float64(single).tobytes() == np.float64(want).tobytes()
             assert model_radius(g[None], rp) == [single]
 
-    def test_window_past_the_float_range_is_capped(self):
-        # n = 3: cond 1e320 overflows the float window; it is still an int,
-        # and a finite window keeps its float value
-        rho = _LOOSE_RP.rho
-        g = np.diag([1e150, 1.0, 1e-150])
-        largest, *_, smallest = np.linalg.svd(g, compute_uv=False).tolist()
-        (finite,) = discreteness_radii(g[None], _LOOSE_RP)
-        assert finite.required == math.floor(largest / smallest * rho * math.exp(rho) + 0.5)
-        (past,) = discreteness_radii(np.diag([1e160, 1.0, 1e-160])[None], _LOOSE_RP)
-        assert isinstance(past, EnumerationCapError)
-        assert type(past.required) is int and 10**318 < past.required < 10**319
-        assert past.cap == DEFAULT_ENTRY_CAP
-        with pytest.raises(EnumerationCapError):
-            model_radius(np.diag([1e-160, 1.0, 1e160]), _LOOSE_RP)
-        assert _entry_bounds(np.diag([1e160, 1.0, 1e-160])[None], 0.0) == [0]
+    def test_n3_float_range_refusal_on_both_sides(self):
+        # entries of g and of g^-1 up to 2**26 get their radius with no
+        # numpy warning or float error; one float past it, in g or in
+        # g^-1 only, refuses the stack, naming the range
+        edge = 2.0**26
+        past = np.nextafter(edge, np.inf)
+        k = haar_orthogonal(3, np.random.default_rng(62))
+        # the shear I + a (e1 e2^T + e2 e3^T) has entries at most a, and its
+        # inverse a^2 in the corner: inside for a = 2**13, g^-1 past for a
+        # a shade above
+        def shear(a):
+            return np.array([[1.0, a, 0.0], [0.0, 1.0, a], [0.0, 0.0, 1.0]])
+
+        inside = np.stack([
+            np.diag([edge, 1.0, 1.0 / edge]),
+            np.diag([1.0 / edge, 1.0, edge]),
+            k @ np.diag([2.0**-25, 1.0, 2.0**25]),
+            shear(2.0**13),
+            np.eye(3),
+        ])
+        outside = [
+            np.diag([past, 1.0, 1.0 / past]),
+            np.diag([1.0 / past, 1.0, past]),
+            np.diag([1e160, 1.0, 1e-160]),
+            np.diag([1e-160, 1.0, 1e160]),
+            shear(2.0**13 * (1.0 + 2.0**-40)),
+        ]
+        rp = _LOOSE_RP
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = discreteness_radii(inside, rp)
+            assert got == [model_radius(g, rp) for g in inside]
+            assert got[0] == got[1] == 2.0**-52
+            assert got[2] == pytest.approx(2.0**-50, rel=1e-9)
+            assert got[3] == got[4] == rp.rho
+            for g in outside:
+                for stack in (g[None], np.stack([np.eye(3), g])):
+                    with pytest.raises(ValueError, match=r"2\*\*26.*normal float range"):
+                        discreteness_radii(stack, rp)
 
     def test_n2_past_the_float_range_is_refused(self):
-        # the n = 2 forms of the two windows above: 1e150 is inside the
-        # 2**510 entry range and gets its radius 1e-300; 1e160 is outside
-        # and raises, naming the range
+        # 1e150 is inside the 2**510 entry range of n = 2 and gets its
+        # radius 1e-300; 1e160 is outside and raises, naming the range
         (got,) = discreteness_radii(np.diag([1e150, 1e-150])[None], _LOOSE_RP)
         assert got == pytest.approx(1e-300, rel=1e-12)
         for g in (np.diag([1e160, 1e-160]), np.diag([1e-160, 1e160])):
@@ -761,12 +872,14 @@ class TestStacked:
         stack = np.stack([np.eye(2), np.diag([2.0, 1.0]), np.diag([0.1, 10.0])])
         with pytest.raises(ValueError, match="determinant 1"):
             discreteness_radii(stack, _LOOSE_RP)
-        # the determinant is checked before the entry cap, which at n = 3
-        # this matrix would exceed
+        # the determinant is checked before the float range, which the
+        # last matrix is outside too
         with pytest.raises(ValueError, match="determinant 1"):
             discreteness_radii(np.diag([1e-4, 2e4])[None], RadiusParams(rho=0.3))
         with pytest.raises(ValueError, match="determinant 1"):
             discreteness_radii(np.diag([1e-4, 1.0, 2e4])[None], RadiusParams(rho=0.3))
+        with pytest.raises(ValueError, match="determinant 1"):
+            discreteness_radii(np.diag([1e-30, 1.0, 2e30])[None], RadiusParams(rho=0.3))
 
     def test_stacked_rejects_bad_shapes(self):
         for gs in (np.eye(2), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan)):
@@ -914,7 +1027,8 @@ class TestClosedForm:
             # an empty window means cond rho e^rho < 1/2, so lambda_1^2 / det
             # >= 1/cond > rho and the min gives rho exactly
             rho = _DEFAULT_RP.rho
-            assert _entry_bounds(stack, rho) == [0] * size
+            sv = np.linalg.svd(stack, compute_uv=False)
+            assert (sv[:, -1] > 2.0 * rho * sv[:, 0]).all()
             assert got[rho] == [rho] * size
         elif size == 256:
             assert 0 < sum(r < _LOOSE_RP.rho for r in got[_LOOSE_RP.rho])
@@ -969,7 +1083,7 @@ class TestGaussOracle:
         rng = np.random.default_rng([47, seed])
         g = sample_base_conjugator(2, rng, cond_low=cond, cond_high=cond)
         rotated = haar_orthogonal(2, rng) @ g
-        want = _search_radius(g, rho)
+        want = kron_radius(g, rho)
         got = model_radius(g, rp)
         assert abs(got / want - 1.0) <= 1e-9
         assert abs(model_radius(rotated, rp) / got - 1.0) <= 1e-12
