@@ -70,11 +70,6 @@ _SIGMAS = 3.0
 _BASE_TRIES = 400
 # Chains of the conjugation walk, stepped in lockstep (conjugation_walk).
 _WALK_CHAINS = 128
-# Walk steps whose mu_s draws and radius front end are stacked at once.  Any
-# multiple of C = _WALK_CHAINS gives the same rows; 2C pays less per-call
-# overhead than C (default walk 71 against 74 ms, 4C 66 ms: medians of 40
-# interleaved runs, shared 2-core box) and still bounds a long walk's arrays.
-_WALK_BLOCK = 2 * _WALK_CHAINS
 
 
 class InsufficientDataError(ConfigError):
@@ -377,12 +372,11 @@ def conjugation_walk(cfg: ExperimentConfig) -> list:
     symmetric, since s_lambda^-1 = w s_lambda w^T for a signed reversal
     permutation w in SO(n), so the walk needs no separate inverse step.
     Every step's draw comes from the walk's one generator in step order,
-    _WALK_BLOCK steps at a time (mu_s_draws), so a longer walk extends a
-    shorter one.  A round is one stacked product and one stacked
+    one round at a time (mu_s_draws), so a longer walk extends a shorter
+    one.  A round is one stacked product and one stacked
     reduced_conjugator, which changes nothing the radius can see but keeps
-    each conjugator's conditioning near 1/radius; the radii of a block
-    come from one discreteness_radii call, which gives every step a
-    radius at every n.
+    each conjugator's conditioning near 1/radius, and one
+    discreteness_radii call, which gives every step a radius at every n.
 
     The runners drop the first walk_length // 10 global steps as burn-in,
     which is the first floor(L / (10 C)) steps of every chain and one more
@@ -392,25 +386,21 @@ def conjugation_walk(cfg: ExperimentConfig) -> list:
     1-240 the kept steps match that rate at every eps down to 3e-5 within
     two between-chain standard errors (CHANGES.md).  C = 128 takes 12%
     less time than C = 64, and the stacked Lagrange-Gauss pass beats a
-    loop of python ones on walk rounds from about 64 matrices.  At n = 2
-    a round's rotations are closed forms (haar_rotations) and a block's
-    radii one more Lagrange-Gauss pass, with no LAPACK call per matrix
-    but the determinants.  The default walk takes 0.015 s (minimum of 15
-    runs, shared 2-core box, numpy 2.4).
+    loop of python ones on walk rounds from about 30 matrices (44 against
+    166 us at 128, minima of 300 calls).  At n = 2 a round's rotations are closed forms
+    (haar_rotations) and its radii one more Lagrange-Gauss pass, with no
+    LAPACK call per matrix but the determinants.  The default walk takes
+    13-14 ms (medians of 40 runs in each of six processes, shared 2-core
+    box, numpy 2.4).
     """
     sp, rp = derive_group(cfg)
     rng = _rng(cfg.seed, _TAG_WALK, 0)
     chains = np.broadcast_to(np.eye(cfg.group_n), (_WALK_CHAINS, cfg.group_n, cfg.group_n))
     rows = []
-    for start in range(1, cfg.walk_length + 1, _WALK_BLOCK):
-        steps = range(start, min(start + _WALK_BLOCK, cfg.walk_length + 1))
-        draws = mu_s_draws(sp, rng, len(steps))
-        conjugators = np.empty_like(draws)
-        for i in range(0, len(steps), _WALK_CHAINS):
-            round_draws = draws[i : i + _WALK_CHAINS]
-            chains = reduced_conjugator(round_draws @ chains[: len(round_draws)])
-            conjugators[i : i + _WALK_CHAINS] = chains
-        rows.extend(zip(steps, discreteness_radii(conjugators, rp)))
+    for start in range(1, cfg.walk_length + 1, _WALK_CHAINS):
+        steps = range(start, min(start + _WALK_CHAINS, cfg.walk_length + 1))
+        chains = reduced_conjugator(mu_s_draws(sp, rng, len(steps)) @ chains[: len(steps)])
+        rows.extend(zip(steps, discreteness_radii(chains, rp)))
     return rows
 
 

@@ -407,17 +407,12 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
             raise ValueError("conjugator must have determinant 1")
         shortest = _gauss_reduce_stack(gs)[4]
         return np.minimum(rp.rho, shortest / det).tolist()
+    # the determinant needs finite entries, and is checked before the range
     if not np.isfinite(gs).all():
         raise ValueError("conjugator entries must be finite")
     if np.abs(np.linalg.det(gs) - 1.0).max(initial=0.0) > 1e-10:
         raise ValueError("conjugator must have determinant 1")
-    g_invs = np.linalg.inv(gs)
-    if max(np.abs(gs).max(initial=0.0), np.abs(g_invs).max(initial=0.0)) > 2.0**26:
-        raise ValueError(
-            "n >= 3 conjugators and their inverses must have entries of modulus at most "
-            "2**26, so that every length, product and radius of the pair search stays in "
-            "the normal float range"
-        )
+    g_invs = _require_pair_range(gs)
     sv = np.linalg.svd(gs, compute_uv=False)
     shortcut = sv[:, -1] > (2.0 * rp.rho + 2.0**-40) * sv[:, 0]
     out = np.where(shortcut, rp.rho, 0.0).tolist()
@@ -438,6 +433,23 @@ def _require_gauss_range(gs: np.ndarray) -> None:
             "n = 2 conjugator entries must have modulus at most 2**510, so that "
             "every squared length stays in the normal float range [2**-1022, 2**1024)"
         )
+
+
+def _require_pair_range(gs: np.ndarray) -> np.ndarray:
+    """The inverses of an n >= 3 stack, after refusing it if an entry is not
+    finite or an entry of g or g^{-1} has modulus above 2^26
+    (discreteness_radii derives the range); a singular matrix raises
+    numpy's LinAlgError, a ValueError."""
+    if not np.isfinite(gs).all():
+        raise ValueError("conjugator entries must be finite")
+    g_invs = np.linalg.inv(gs)
+    if max(np.abs(gs).max(initial=0.0), np.abs(g_invs).max(initial=0.0)) > 2.0**26:
+        raise ValueError(
+            "n >= 3 conjugators and their inverses must have entries of modulus at most "
+            "2**26, so that every length, product and radius of the pair search stays in "
+            "the normal float range"
+        )
+    return g_invs
 
 
 def _orthogonal_basis(v) -> list:
@@ -523,9 +535,10 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
     k is absorbed into the Haar rotations k1 and k2.
 
     At n = 2, u is the Lagrange-Gauss reduction, one masked pass over the
-    whole stack (_gauss_reduce_stack, bit-identical to _gauss_reduce on
-    each matrix): with shortest column v = (a, c), second column (b, d)
-    and s = sqrt|ad - bc|, R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].
+    whole stack (_gauss_reduce_stack, bit-identical to
+    tests/oracles.py::gauss_reduce on each matrix): with shortest column
+    v = (a, c), second column (b, d) and s = sqrt|ad - bc|,
+    R = [[|v|/s, (ab + cd)/(|v| s)], [0, s/|v|]].
     The columns of R are then still reduced: |r12| <= r11 / 2 and
     r11^2 <= r12^2 + r22^2.  An n = 2 stack is held to the float range of
     the n = 2 radius (discreteness_radii): an entry that is not finite or
@@ -535,7 +548,10 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
     stay below 2^1023 and |v| above 2^-511.  At n >= 3, each matrix takes
     the LLL transform u (_lll_reduce), and R comes from a QR of g @ u, its
     diagonal made positive; |det(g u)| is then the product of that
-    diagonal.
+    diagonal.  An n >= 3 stack is held to the float range of the n >= 3
+    radius: an entry that is not finite, or an entry of g or g^{-1} above
+    2^26, raises its ValueError, checked once per call
+    (_require_pair_range).
     """
     gs = np.asarray(gs, dtype=float)
     if gs.ndim == 2:
@@ -551,6 +567,7 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
         out[:, 0, 1] = (a * b + c * d) / (v * s)
         out[:, 1, 1] = s / v
         return out
+    _require_pair_range(gs)
     out = np.empty_like(gs)
     for i, g in enumerate(gs):
         r = np.linalg.qr(g @ _lll_reduce(g)[0], mode="r")
@@ -576,30 +593,21 @@ def _gauss_reduce_stack(gs: np.ndarray) -> tuple:
     0.0 of python's int 0, so every entry is bit-identical to it and does
     not depend on the rest of the stack.
 
-    The columns are kept as two 2 x m arrays of the m matrices still
-    reducing.  An iteration in which all of them swap, or all of them
-    stop, moves no data; only when some stop and some swap are the stopped
-    ones written out and the rest compacted.  So a single matrix costs
-    about a dozen whole-array operations per iteration and no gather or
-    scatter.  The python loop is faster on small stacks: 10-24 us against
-    1-2 us on one matrix, with the crossover near 16 base draws or 64
-    walk-round products; at 256 the pass takes 15 against 165 us and 70
-    against 255 us (shared 2-core box, numpy 2.4).  discreteness_radii
-    takes the pass at every size, single matrices included, so the n = 2
-    radius has one code path; a single call costs about 20 us.
+    Every matrix stays in place in two 2 x m column arrays: each
+    iteration reduces the whole stack, and np.where swaps only the
+    matrices whose reduced column is shorter.  A stopped matrix stays
+    stopped because it keeps its columns, so every later iteration
+    recomputes its reduction bit for bit.
     """
-    count = len(gs)
     # rows a, b, c, d; the columns (a, c) and (b, d) are strided views
-    s = gs.reshape(count, 4).T
+    s = gs.reshape(len(gs), 4).T
     sq = s * s
     uu = sq[0] + sq[2]
     vv = sq[1] + sq[3]
     u, v = s[::2], s[1::2]
     swap = uu > vv
     if np.count_nonzero(swap):
-        u, v = np.where(swap, v, u), np.where(swap, u, v)
-        uu = np.where(swap, vv, uu)
-    out = live = None  # once some stop: the bases, and where the rest sit
+        u, v, uu = np.where(swap, v, u), np.where(swap, u, v), np.where(swap, vv, uu)
     for _ in range(_GAUSS_CAP):
         uv = u * v
         m = np.rint((uv[0] + uv[1]) / uu) + 0.0
@@ -607,26 +615,9 @@ def _gauss_reduce_stack(gs: np.ndarray) -> tuple:
         rr = r * r
         rv = rr[0] + rr[1]
         go = rv < uu
-        going = np.count_nonzero(go)
-        if going < len(go):
-            if live is None:
-                if not going:
-                    return u[0], r[0], u[1], r[1], uu
-                out, live = np.empty((5, count)), np.arange(count)
-            stop, go = (~go).nonzero()[0], go.nonzero()[0]
-            at = live[stop]
-            out[:2, at] = u.take(stop, axis=1)
-            out[2:4, at] = r.take(stop, axis=1)
-            out[4, at] = uu[stop]
-            live = live[go]
-            if not live.size:
-                return out[0], out[2], out[1], out[3], out[4]
-            u, r, rv = u.take(go, axis=1), r.take(go, axis=1), rv[go]
-        u, v, uu = r, u, rv
+        if not np.count_nonzero(go):
+            return u[0], r[0], u[1], r[1], uu
+        u, v, uu = np.where(go, r, u), np.where(go, u, v), np.where(go, rv, uu)
     # the matrices the cap stopped keep their last swap
-    if live is None:
-        return u[0], v[0], u[1], v[1], uu
-    out[:2, live] = u
-    out[2:4, live] = v
-    out[4, live] = uu
-    return out[0], out[2], out[1], out[3], out[4]
+    v = np.where(go, v, r)
+    return u[0], v[0], u[1], v[1], uu

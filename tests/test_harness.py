@@ -31,7 +31,6 @@ from thinpart.analysis import compact_group_sublevel_measures
 from thinpart.harness.experiments import (
     _TAG_DRIFT_BASE,
     _TAG_WALK,
-    _WALK_BLOCK,
     _WALK_CHAINS,
     InsufficientDataError,
     conjugation_walk,
@@ -518,15 +517,15 @@ class TestRunners:
             rows.append((t, model_radius(chains[chain], rp)))
         return rows
 
-    @pytest.mark.parametrize("length", [100, 200, _WALK_BLOCK, 700])
+    @pytest.mark.parametrize("length", [100, 128, 129, 200, 256, 700])
     def test_walk_matches_stepwise_walk(self, length):
-        # on the n = 3 walk of _N3 the stacked blocks give every step the
+        # on the n = 3 walk of _N3 the stacked rounds give every step the
         # radius of the scalar walk, bit for bit: lengths below one round
-        # of _WALK_CHAINS steps (100), at a block (256) and off a multiple
-        # of the round (200, 700); every step has a radius, so the kept
-        # rows are the steps after burn-in and no incident is counted.
-        # The first steps from the identity stay at rho; only the 700-step
-        # walk reaches below it
+        # of _WALK_CHAINS steps (100), at one round (128), one step past it
+        # (129), at two rounds (256) and off a multiple of the round (200,
+        # 700); every step has a radius, so the kept rows are the steps
+        # after burn-in and no incident is counted.  The first steps from
+        # the identity stay at rho; only the 700-step walk reaches below it
         cfg = dataclasses.replace(_N3, walk_length=length)
         rows = self._stepwise_walk(cfg)
         rep = run_stationary_bound(cfg, p_hat=_N3_P_HAT)

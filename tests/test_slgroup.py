@@ -721,6 +721,40 @@ class TestReducedConjugator:
             with pytest.raises(ValueError, match="finite"):
                 reduced_conjugator(np.diag([np.inf, 0.0]))
 
+    def test_n3_float_range_refusal_on_both_sides(self):
+        # n >= 3 entries of g and of g^-1 up to 2**26 reduce with no numpy
+        # warning or float error; past it, in g or in g^-1 only, the call
+        # is refused with the ValueError of the n >= 3 radius, naming the
+        # range, as are non-finite entries and a singular matrix
+        edge = 2.0**26
+
+        # I + a (e1 e2^T + e2 e3^T): entries at most a, a^2 in its inverse
+        def shear(a):
+            return np.array([[1.0, a, 0.0], [0.0, 1.0, a], [0.0, 0.0, 1.0]])
+
+        inside = np.stack([np.diag([edge, 1.0, 1.0 / edge]), shear(2.0**13)])
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = reduced_conjugator(inside)
+            for g, r in zip(inside, got):
+                self._assert_tame(g, r, 1e-9)
+            assert got[0].tobytes() == reduced_conjugator(inside[0]).tobytes()
+            past = [
+                np.diag([1e200, 1.0, 1e-200]),
+                np.array([[1.0, 1e30, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.diag([np.nextafter(edge, np.inf), 1.0, 1.0 / edge]),
+                shear(2.0**13 * (1.0 + 2.0**-40)),
+            ]
+            for g in past:
+                for gs in (g, np.stack([np.eye(3), g])):
+                    with pytest.raises(ValueError, match=r"2\*\*26.*normal float range"):
+                        reduced_conjugator(gs)
+            with pytest.raises(ValueError, match="finite"):
+                reduced_conjugator(np.diag([np.inf, 1.0, 0.0]))
+            singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
+            with pytest.raises(ValueError, match="Singular"):
+                reduced_conjugator(singular)
+
 
 def _walk_conjugators(count):
     # g_t = reduced_conjugator(k1 s_lambda k2 g_{t-1}) at the default scale
