@@ -552,6 +552,9 @@ def run_evanescence(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.group_n != 2:
         raise ConfigError("the cusp ray experiment is specific to the n = 2 model")
     sp, rp = derive_group(cfg)
+    top = math.sqrt(3000.0 / rp.rho)  # the ray's last entry (discreteness_radii's n = 2 range)
+    if top > 2.0**510:
+        raise ConfigError(f"the cusp ray's last entry {top:.3g} passes 2**510, the n = 2 range")
     y_grid = np.geomspace(2.0 / rp.rho, 3000.0 / rp.rho, 41)
     samples = []
     for y in y_grid:

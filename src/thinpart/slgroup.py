@@ -180,13 +180,13 @@ def _lll_reduce(basis: np.ndarray):
     Returns (u, rows): the integer transform u, of determinant +-1, and
     the rows of the positive-diagonal QR triangle of the reduced basis
     basis @ u, read off the final Gram-Schmidt data (entry (j, i) is
-    mu_ij |b*_j|), so a ball search needs no second QR.  One QR gives the
-    initial Gram-Schmidt coefficients mu and squared lengths
-    |b*|^2; size reductions and swaps then update both in place (swap
-    formulas of Cohen, A Course in Computational Algebraic Number Theory,
-    Algorithm 2.6.3), and every decision reads only those, so no float
-    copy of the reduced columns is kept.  Reduction quality only affects
-    the enumeration speed downstream, never its completeness, so float
+    mu_ij |b*_j|), so no caller needs a second QR.  One QR gives the
+    initial Gram-Schmidt coefficients mu and squared lengths |b*|^2; size
+    reductions and swaps then update both in place (swap formulas of
+    Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    2.6.3), and every decision reads only those, so no float copy of the
+    reduced columns is kept.  Reduction quality only affects the
+    enumeration speed downstream, never its completeness, so float
     round-off in the swap decisions is harmless; an iteration cap
     backstops termination.
     """
@@ -240,14 +240,14 @@ def _padded(r: float) -> float:
 
 def _search_ball(r: list, radius: float, confirm) -> None:
     """Hand every nonzero integer vector y with |r y| <= radius to
-    confirm, as a tuple of ints; r is an upper triangle with nonzero
-    diagonal, as a list of rows.
+    confirm(y, squared), y as a tuple of ints and squared the |r y|^2 the
+    search summed; r is an upper triangle with nonzero diagonal, as rows.
 
     Depth-first search from the last coordinate down.  Each level visits
     integers in order of their distance from the level's centre
     (Schnorr & Euchner 1994) and stops at the first one outside the
     ball: a coordinate's contribution grows with that distance.  When
-    confirm(y) returns a radius below the current one, the ball shrinks
+    confirm returns a radius below the current one, the ball shrinks
     to it for the rest of the search.
     """
     d = len(r)
@@ -272,7 +272,7 @@ def _search_ball(r: list, radius: float, confirm) -> None:
             if i:
                 descend(i - 1, total, [partial[t] + r[t][i] * yi for t in range(i)])
             elif any(y):
-                shrunk = confirm(tuple(y))
+                shrunk = confirm(tuple(y), total)
                 if shrunk is not None:
                     limit = min(limit, shrunk * shrunk + 1e-12)
             offset = -offset if offset > 0 else 1 - offset
@@ -355,27 +355,32 @@ def discreteness_radii(conjugators: np.ndarray, rp: RadiusParams) -> list:
     round-off: LAPACK's singular values are exact for g + E with
     |E|_2 <= p(n) u sigma_max, and p(n) u < 2^-41 at these n, so by Weyl
     the exact ratio exceeds 2 rho (1 - 2^-41) + 2^-41 > rho for every rho.
-    Each other entry takes _pair_radius: lambda* = lambda_1(g^{-T} Z^n)
-    (_lll_reduce, _search_ball); a shrinking ball search over the
-    LLL-reduced g Z^n of radius padded(best) / lambda*, which holds every
-    v of a pair below best; for each primitive v met (one of +-v), an
-    integer basis of v^perp cap Z^n (_orthogonal_basis) and a ball search
-    over the LLL-reduced g^{-T} (v^perp cap Z^n) of radius
-    padded(best) / |g v|.  A pair scores
-    frobenius(g @ np.outer(v, w) @ g_inv), the expression with which the
-    earlier n^2-dimensional search confirmed a hit, so radii keep its
-    bits; best starts at rho, and a lower score shrinks both balls.  The
-    paddings, named here and not derived (ROADMAP item 5): the 2 and the
-    2^-40 of the shortcut, the relative 1e-9 of every ball radius
-    (_padded), for the round-off of the triangles, |g v|, lambda* and the
-    score, and the 1e-12 that _search_ball adds to each squared radius.
+    Each other entry takes _pair_radius.  LLL (_lll_reduce) gives a basis
+    B = g u of g Z^n with Gram-Schmidt vectors b*_i; a shrinking ball
+    search over it of radius padded(best) max_i |b*_i| holds every v of a
+    pair below best, as |g^{-T} w| >= 1 / |b*_j| for w != 0 in Z^n
+    (Lagarias, Lenstra and Schnorr 1990): z = B^T g^{-T} w = u^T w is a
+    nonzero integer vector, and at its first nonzero index j,
+    b*_1 .. b*_{j-1} are orthogonal to g^{-T} w, so <b*_j, g^{-T} w> = z_j.
+    For each primitive v met (one of +-v), |g v| is the root of the
+    squared length that search summed, and a ball search of radius
+    padded(best) / |g v| runs over the LLL-reduced g^{-T} (v^perp cap Z^n)
+    (_orthogonal_basis).  A pair scores frobenius(g @ np.outer(v, w) @
+    g_inv), the expression with which the earlier n^2-dimensional search
+    confirmed a hit, so radii keep its bits; best starts at rho, and a
+    lower score shrinks both balls.  The paddings, named here and not
+    derived (ROADMAP item 5): the 2 and the 2^-40 of the shortcut, the
+    relative 1e-9 of every ball radius (_padded), for the round-off of the
+    triangles and the score, and the 1e-12 that _search_ball adds to each
+    squared radius.
 
     The n >= 3 float range.  Every entry of g and of g^{-1} must have
     modulus at most L = 2^26.  Then sigma(g) and sigma(g^{-T}) lie in
     [1 / (n L), n L], which is within [2^-30, 2^30] for n <= 16.  So
     every nonzero lattice vector is at least 2^-30 long, and every
     product and radius at least 2^-60; balls have radius at most
-    0.35 n L; integer vectors in the balls have
+    0.35 n L, as max_i |b*_i| <= n L (below) and |g v| >= 1 / (n L);
+    integer vectors in the balls have
     |v| |w| <= |g^{-1}|_2 |g|_2 padded(rho) and LLL transforms entries at
     most (n L)^2 (a size-reduced column is at most n L long), both below
     2^63; and a score's intermediate entries are at most (n L)^4.  So
@@ -444,11 +449,8 @@ def _require_pair_range(gs: np.ndarray) -> np.ndarray:
         raise ValueError("conjugator entries must be finite")
     g_invs = np.linalg.inv(gs)
     if max(np.abs(gs).max(initial=0.0), np.abs(g_invs).max(initial=0.0)) > 2.0**26:
-        raise ValueError(
-            "n >= 3 conjugators and their inverses must have entries of modulus at most "
-            "2**26, so that every length, product and radius of the pair search stays in "
-            "the normal float range"
-        )
+        raise ValueError("n >= 3 conjugators and their inverses must have entries of modulus "
+                         "at most 2**26, so that the pair search stays in the normal float range")
     return g_invs
 
 
@@ -475,40 +477,31 @@ def _pair_radius(g: np.ndarray, g_inv: np.ndarray, rho: float) -> float:
     """min(rho, least |g v| |g^{-T} w| over integer v, w != 0 with
     w . v = 0), each pair scored as frobenius(g @ np.outer(v, w) @ g_inv):
     the search of discreteness_radii for one n x n conjugator."""
-    dual = g_inv.T
-    _, dual_rows = _lll_reduce(dual)
-    least = dual_rows[0][0]
-
-    def shorter(y):
-        nonlocal least
-        length = math.sqrt(sum(sum(r * x for r, x in zip(row, y)) ** 2 for row in dual_rows))
-        least = min(least, length)
-        return _padded(least)
-
-    _search_ball(dual_rows, _padded(least), shorter)
     best = rho
     u, rows = _lll_reduce(g)
+    # every nonzero g^{-T} w is at least 1 / max_i |b*_i| long
+    stretch = max(row[i] for i, row in enumerate(rows))
 
-    def pair(y):
+    def pair(y, squared):
         # one of +-v, and primitive
         if y > tuple(-x for x in y) and math.gcd(*y) == 1:
             v = u @ y
-            length = frobenius(g @ v)
+            length = math.sqrt(squared)
             cols = _orthogonal_basis(v.tolist())
-            transform, triangle = _lll_reduce(dual @ np.array(cols, dtype=float).T)
+            transform, triangle = _lll_reduce(g_inv.T @ np.array(cols, dtype=float).T)
             # the reduced basis of v^perp cap Z^n, in python ints
             basis = np.array(cols, dtype=object).T @ transform
 
-            def score(z):
+            def score(z, _):
                 nonlocal best
                 if z > tuple(-x for x in z):
                     best = min(best, frobenius(g @ np.outer(v, (basis @ z).tolist()) @ g_inv))
                 return _padded(best) / length
 
             _search_ball(triangle, _padded(best) / length, score)
-        return _padded(best) / least
+        return _padded(best) * stretch
 
-    _search_ball(rows, _padded(best) / least, pair)
+    _search_ball(rows, _padded(best) * stretch, pair)
     return best
 
 
@@ -545,13 +538,16 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
     has modulus above 2^510 raises its ValueError, checked once per call.
     Inside it, and with |det g| near 1 as on the walk, the reduced columns
     are no longer than the input ones, so a d, b c, a b + c d and |v| s
-    stay below 2^1023 and |v| above 2^-511.  At n >= 3, each matrix takes
-    the LLL transform u (_lll_reduce), and R comes from a QR of g @ u, its
-    diagonal made positive; |det(g u)| is then the product of that
-    diagonal.  An n >= 3 stack is held to the float range of the n >= 3
-    radius: an entry that is not finite, or an entry of g or g^{-1} above
-    2^26, raises its ValueError, checked once per call
-    (_require_pair_range).
+    stay below 2^1023 and |v| above 2^-511.  A singular matrix, or one the
+    pass takes to a zero column ([[0.1, 3 * 0.1], [0.7, 3 * 0.7]] in
+    floats), divides by zero; np.errstate raises that before numpy can
+    warn, and the stack is refused with a ValueError.  At n >= 3, each
+    matrix takes the LLL transform u, and R is the positive-diagonal
+    triangle of g @ u that _lll_reduce reads off its final Gram-Schmidt
+    data, with no second QR; |det(g u)| is the product of its diagonal.
+    An n >= 3 stack is held to the float range of the n >= 3 radius: an
+    entry that is not finite, or an entry of g or g^{-1} above 2^26,
+    raises its ValueError, checked once per call (_require_pair_range).
     """
     gs = np.asarray(gs, dtype=float)
     if gs.ndim == 2:
@@ -559,21 +555,21 @@ def reduced_conjugator(gs: np.ndarray) -> np.ndarray:
     n = gs.shape[-1]
     if n == 2:
         _require_gauss_range(gs)
-        a, b, c, d, aa_cc = _gauss_reduce_stack(gs)
-        v = np.sqrt(aa_cc)
-        s = np.sqrt(np.abs(a * d - b * c))
-        out = np.zeros_like(gs)
-        out[:, 0, 0] = v / s
-        out[:, 0, 1] = (a * b + c * d) / (v * s)
-        out[:, 1, 1] = s / v
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                a, b, c, d, aa_cc = _gauss_reduce_stack(gs)
+                v = np.sqrt(aa_cc)
+                s = np.sqrt(np.abs(a * d - b * c))
+                out = np.zeros_like(gs)
+                np.divide(v, s, out=out[:, 0, 0])
+                np.divide(a * b + c * d, v * s, out=out[:, 0, 1])
+                np.divide(s, v, out=out[:, 1, 1])
+        except FloatingPointError:
+            raise ValueError("n = 2 conjugator is singular, or too near it for the pass") from None
         return out
     _require_pair_range(gs)
-    out = np.empty_like(gs)
-    for i, g in enumerate(gs):
-        r = np.linalg.qr(g @ _lll_reduce(g)[0], mode="r")
-        r *= np.sign(np.diag(r))[:, None]
-        out[i] = r / np.prod(np.diag(r)) ** (1.0 / n)
-    return out
+    rs = np.array([_lll_reduce(g)[1] for g in gs]).reshape(gs.shape)
+    return rs / np.prod(np.diagonal(rs, axis1=1, axis2=2), axis=1)[:, None, None] ** (1.0 / n)
 
 
 def _gauss_reduce_stack(gs: np.ndarray) -> tuple:

@@ -237,7 +237,7 @@ def kron_radius(g: np.ndarray, rho: float) -> float:
     def padded(r):
         return r * math.exp(r) * (1.0 + 1e-9) + 1e-12
 
-    def confirm(y):
+    def confirm(y, _):
         nonlocal best
         value = square_zero_log_norm(g, g_inv, (transform @ y).reshape(n, n))
         if value is None or value >= best:

@@ -756,6 +756,29 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "c").exists()
 
+    def test_evanescence_past_the_float_range_exit_one(self, tmp_path, capsys, monkeypatch):
+        # at lambda = 2e303 the cusp ray's last entry sqrt(3000 / rho)
+        # passes 2**510: the runner and the CLI refuse it before any
+        # radius call, naming the range; lambda = 1e303 still runs and passes
+        def no_radius(*args):
+            raise AssertionError("a radius call before the range check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "model_radius", no_radius)
+            with pytest.raises(ConfigError, match=r"2\*\*510"):
+                run_evanescence(ExperimentConfig(lambda_=2e303, eps_grid=(1e-307,)))
+            path = tmp_path / "far.json"
+            path.write_text(json.dumps({"lambda": 2e303, "eps_grid": [1e-307]}))
+            assert cli_main(["evanescence", "--config", str(path), "--out", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**510" in err
+        assert not (tmp_path / "f").exists()
+        report = run_evanescence(ExperimentConfig(lambda_=1e303, eps_grid=(1e-307,)))
+        assert report.summary["y_max"] ** 0.5 <= 2.0**510
+        assert all(v.passed for v in report.verdicts)
+        path.write_text(json.dumps({"lambda": 1e303, "eps_grid": [1e-307]}))
+        assert cli_main(["evanescence", "--config", str(path), "--out", str(tmp_path / "n")]) == 0
+
     def test_blocked_out_dir_exit_one(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         code = cli_main(["constants", "--out", str(tmp_path / "file" / "c")])

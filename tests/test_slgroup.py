@@ -289,7 +289,7 @@ class TestLatticeReduction:
     def _visited(rmat, radius):
         seen = []
 
-        def record(y):
+        def record(y, _):
             seen.append(y)
             return None
 
@@ -314,7 +314,7 @@ class TestLatticeReduction:
             current = [radius]
             visited = []
 
-            def shrink(y):
+            def shrink(y, _):
                 visited.append((y, current[0]))
                 if length.get(y, math.inf) < current[0]:
                     current[0] = length[y]
@@ -603,6 +603,72 @@ class TestPairSearch:
         for g, r in zip(draws[0::3] + draws[1::3] + draws[2::3], got):
             assert 1.0 / np.linalg.cond(g) <= r <= rho
 
+    @staticmethod
+    def _unreduced(basis):
+        # a stand-in for _lll_reduce that reduces nothing: the identity
+        # transform and the basis's own positive-diagonal QR triangle
+        r = np.linalg.qr(np.asarray(basis, dtype=float), mode="r")
+        r *= np.sign(np.diag(r))[:, None]
+        return np.eye(len(r), dtype=np.int64), r.tolist()
+
+    @pytest.mark.parametrize("diag, shear", [
+        ([0.1, 1.0, 10.0], [[1, 0, 0], [-2, 1, 0], [1, 0, 1]]),
+        ([0.2, 1.0, 5.0], [[1, 2, 0], [0, 1, 0], [1, 1, 1]]),
+        ([0.1, 0.5, 2.0, 10.0], [[1, 0, 0, 0], [-2, 1, 0, 0], [0, 1, 1, 0], [1, 0, -1, 1]]),
+        ([0.2, 0.5, 1.0, 10.0], [[1, 1, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 1, -1]]),
+    ], ids=["n3-two", "n3-last", "n4-two", "n4-last"])
+    def test_unreduced_basis_gives_the_same_radius(self, monkeypatch, diag, shear):
+        # The search is complete on any basis; LLL only makes it fast.
+        # Below rho < 1 the minimising v is a shortest vector s of g Z^n (a
+        # shorter s with s . w != 0 has |s| >= 1 / |g^-T w|).  On an LLL
+        # basis at n <= 4 its last coordinate is 0, as |s| >= |b*_n| >=
+        # 2^(-(n-1)/2) max |b*_i| (Lovasz) would give a score above 0.34,
+        # and size reduction keeps the others in {-1, 0, 1} but at exact
+        # ties.  So a search that skips such coordinates shows only on an
+        # unreduced basis.  Here g = k diag(d) U with increasing d: the
+        # minimising v is U^-1 e1, whose coordinates on the basis g hold a
+        # 2 or end negative.
+        n = len(diag)
+        u = np.array(shear, dtype=np.int64)
+        assert int_det(u) == 1
+        v = np.round(np.linalg.inv(u)[:, 0]).astype(np.int64)
+        v *= np.sign(v[np.flatnonzero(v)[0]])
+        assert np.abs(v).max() >= 2 or v[-1] < 0
+        d = np.array(diag) / np.prod(diag) ** (1.0 / n)
+        g = haar_orthogonal(n, np.random.default_rng(69)) @ np.diag(d) @ u
+        rp = RadiusParams(rho=0.3)
+        want = kron_radius(g, rp.rho)
+        assert want == pytest.approx(d[0] / d[-1], rel=1e-12)
+        assert model_radius(g, rp) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(slgroup, "_lll_reduce", self._unreduced)
+            assert model_radius(g, rp) == want
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_near_tie_found_second(self, n):
+        # b1 = e1 and b2 = (0.3, r2) with |b2| = (1 - 1e-4) |b1| form an
+        # LLL basis as they stand, and the later columns are orthogonal
+        # and 10, 100 times longer: the pairs (e1, e_n) and (e2, e_n) score
+        # within 1e-4 of each other, and the outer search meets e1 first,
+        # so the lower pair is found second, in balls that the first one
+        # shrank; the radius is the lower score, the kron oracle's
+        r2 = math.sqrt((1.0 - 1e-4) ** 2 - 0.09)
+        tri = np.diag([1.0, r2] + [10.0**i for i in range(1, n - 1)])
+        tri[0, 1] = 0.3
+        g = haar_orthogonal(n, np.random.default_rng(70 + n)) @ tri
+        g /= np.prod(np.diag(tri)) ** (1.0 / n)
+        u, rows = _lll_reduce(g)
+        assert (u == np.eye(n, dtype=np.int64)).all()
+        seen = []
+        _search_ball(rows, 2.0, lambda y, _: seen.append(y))
+        e = np.eye(n, dtype=np.int64)
+        assert seen.index(tuple(e[0])) < seen.index(tuple(e[1]))
+        g_inv = np.linalg.inv(g)
+        first = frobenius(g @ np.outer(e[0], e[-1]) @ g_inv)
+        second = frobenius(g @ np.outer(e[1], e[-1]) @ g_inv)
+        assert second < first < second * (1.0 + 2e-4)
+        assert model_radius(g, RadiusParams(rho=0.3)) == second == kron_radius(g, 0.3)
+
 
 class TestExactExpansionProbability:
     @pytest.mark.parametrize("n0", range(1, 8))
@@ -720,6 +786,23 @@ class TestReducedConjugator:
                         reduced_conjugator(gs)
             with pytest.raises(ValueError, match="finite"):
                 reduced_conjugator(np.diag([np.inf, 0.0]))
+
+    def test_n2_singular_input_is_refused(self):
+        # a singular 2 x 2, alone or in a stack, is refused with a
+        # ValueError and no numpy warning; the last one has a LAPACK
+        # determinant of -3.9e-17, but the pass reduces a column to zero
+        singular = [
+            np.zeros((2, 2)),
+            np.array([[1.0, 2.0], [2.0, 4.0]]),
+            np.array([[0.1, 3 * 0.1], [0.7, 3 * 0.7]]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in singular:
+                for gs in (g, np.stack([np.eye(2), g]), np.stack([g, np.eye(2)])):
+                    with pytest.raises(ValueError, match="singular"):
+                        reduced_conjugator(gs)
+            assert (reduced_conjugator(np.stack([np.eye(2)] * 2)) == np.eye(2)).all()
 
     def test_n3_float_range_refusal_on_both_sides(self):
         # n >= 3 entries of g and of g^-1 up to 2**26 reduce with no numpy
